@@ -11,7 +11,11 @@
 //                  (CpuWorkload::arithmetic_intensity; rises toward the
 //                  vector-traffic asymptote as R grows),
 //  * "model s"   — the i7-930 roofline on the blocked workload,
-//  * "wall s"    — the measured functional execution on THIS host.
+//  * "wall s"    — the measured functional execution on THIS host,
+//  * "GB/s"      — measured fused-kernel bandwidth: the exactly metered
+//                  fused bytes of the run divided by its wall time (a lower
+//                  bound, since the wall also covers the RNG fill and the
+//                  first, unfused step).
 //
 // Every row reproduces the block=1 CRS moments BIT-FOR-BIT (the blocked
 // kernels' per-member arithmetic is the scalar sequence), which the bench
@@ -58,7 +62,8 @@ int main(int argc, char** argv) {
   for (std::size_t b = 2; b < params.random_vectors; b *= 2) widths.push_back(b);
   if (params.random_vectors > 1) widths.push_back(params.random_vectors);
 
-  Table table({"storage", "block", "AI", "model s", "model speedup", "wall s", "wall speedup"});
+  Table table({"storage", "block", "AI", "model s", "model speedup", "wall s", "wall speedup",
+               "GB/s"});
   core::MomentResult baseline;
   double max_diff = 0.0;
   for (const bool sell : {false, true}) {
@@ -68,7 +73,10 @@ int main(int argc, char** argv) {
     for (const std::size_t b : widths) {
       params.block_r = b;
       core::CpuMomentEngine engine;
+      const double fused_bytes_before = metrics.report().counters.get(obs::Counter::FusedBytes);
       const auto result = engine.compute(op, params, static_cast<std::size_t>(*sample));
+      const double fused_bytes =
+          metrics.report().counters.get(obs::Counter::FusedBytes) - fused_bytes_before;
       if (baseline.mu.empty()) baseline = result;
       for (std::size_t k = 0; k < baseline.mu.size(); ++k)
         max_diff = std::max(max_diff, std::abs(result.mu[k] - baseline.mu[k]));
@@ -86,7 +94,10 @@ int main(int argc, char** argv) {
                      strprintf("%.2fx", model1 / result.model_seconds),
                      strprintf("%.4f", result.wall_seconds),
                      result.wall_seconds > 0.0 ? strprintf("%.2fx", wall1 / result.wall_seconds)
-                                               : "-"});
+                                               : "-",
+                     result.wall_seconds > 0.0
+                         ? strprintf("%.2f", fused_bytes / result.wall_seconds * 1e-9)
+                         : "-"});
     }
   }
   KPM_REQUIRE(max_diff == 0.0, "ablation_spmmv: blocked moments must be bit-identical");

@@ -15,13 +15,42 @@
 #include "rng/distributions.hpp"
 
 namespace kpm::core {
+
+namespace detail {
+
+/// Reusable vectors of one instance group's recursion: `block` interleaved
+/// members of dimension `dim` (block 1 is the unblocked recursion; ragged
+/// final groups use length dim*b prefixes).  Every vector is fully written
+/// before it is read, so a reused workspace needs no clearing.
+struct RecursionWorkspace {
+  std::size_t dim = 0, block = 0;
+  std::vector<double> r0, r_prev2, r_prev, r_next, dots;
+
+  RecursionWorkspace() = default;
+  RecursionWorkspace(std::size_t d, std::size_t b) { fit(d, b); }
+
+  [[nodiscard]] bool fits(std::size_t d, std::size_t b) const { return dim == d && block == b; }
+
+  /// Frees every vector.
+  void release() { *this = RecursionWorkspace(); }
+
+  /// Reshapes to (d, b), freeing the old vectors before allocating the new
+  /// ones; a no-op when the shape already matches.
+  void fit(std::size_t d, std::size_t b) {
+    if (fits(d, b)) return;
+    release();
+    for (auto* v : {&r0, &r_prev2, &r_prev, &r_next}) v->resize(d * b);
+    dots.resize(b);
+    dim = d;  // shape recorded last: a failed allocation leaves no false match
+    block = b;
+  }
+};
+
+}  // namespace detail
+
 namespace {
 
-/// Reusable per-thread vectors of one instance's recursion.
-struct RecursionWorkspace {
-  std::vector<double> r0, r_prev2, r_prev, r_next;
-  explicit RecursionWorkspace(std::size_t d) : r0(d), r_prev2(d), r_prev(d), r_next(d) {}
-};
+using detail::RecursionWorkspace;
 
 /// Runs instance `inst`'s fused recursion (steps (1), (2), (2.1), (2.2) of
 /// the paper's Fig. 3), adding its mu~ contributions into `mu_acc`.  The
@@ -58,8 +87,7 @@ void accumulate_instance(const linalg::MatrixOperator& h_tilde, const MomentPara
 /// histogram ticks (ns), recorded per instance into `instance_model_ns`.
 void run_reference_recursion(const linalg::MatrixOperator& h_tilde, const MomentParams& params,
                              std::size_t executed, std::uint64_t instance_ticks,
-                             std::vector<double>& mu_sum) {
-  RecursionWorkspace ws(h_tilde.dim());
+                             RecursionWorkspace& ws, std::vector<double>& mu_sum) {
   for (std::size_t inst = 0; inst < executed; ++inst) {
     accumulate_instance(h_tilde, params, inst, ws, mu_sum);
     obs::record(obs::Histo::InstanceModelNs, instance_ticks);
@@ -86,19 +114,10 @@ cpumodel::CpuWorkload reference_workload(const linalg::MatrixOperator& op, std::
 // bit-identical to the per-vector path on the same RNG stream, so summing
 // member rows in instance order reproduces the serial reference exactly.
 
-/// Reusable vectors of one group's blocked recursion (up to `block`
-/// interleaved members; ragged final groups use length-d*b prefixes).
-struct BlockWorkspace {
-  std::size_t block;
-  std::vector<double> r0, r_prev2, r_prev, r_next, dots;
-  BlockWorkspace(std::size_t d, std::size_t b)
-      : block(b), r0(d * b), r_prev2(d * b), r_prev(d * b), r_next(d * b), dots(b) {}
-};
-
 /// Runs instances [first, first + b) as one blocked recursion (b <=
 /// ws.block), adding member j's mu~ contributions into mu_rows[j*n, j*n+n).
 void accumulate_group(const linalg::MatrixOperator& h_tilde, const MomentParams& params,
-                      std::size_t first, std::size_t b, BlockWorkspace& ws, std::size_t n,
+                      std::size_t first, std::size_t b, RecursionWorkspace& ws, std::size_t n,
                       std::span<double> mu_rows) {
   const std::size_t d = h_tilde.dim();
   const std::size_t len = d * b;
@@ -137,9 +156,9 @@ void accumulate_group(const linalg::MatrixOperator& h_tilde, const MomentParams&
 /// summed in instance order right after each group.
 void run_blocked_recursion(const linalg::MatrixOperator& h_tilde, const MomentParams& params,
                            std::size_t executed, std::size_t block,
-                           std::uint64_t instance_ticks, std::vector<double>& mu_sum) {
+                           std::uint64_t instance_ticks, RecursionWorkspace& ws,
+                           std::vector<double>& mu_sum) {
   const std::size_t n = mu_sum.size();
-  BlockWorkspace ws(h_tilde.dim(), block);
   std::vector<double> rows(block * n);
   const std::size_t groups = (executed + block - 1) / block;
   for (std::size_t g = 0; g < groups; ++g) {
@@ -279,10 +298,12 @@ MomentResult CpuMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
     // parallel paths.
     const std::uint64_t instance_ticks = obs::seconds_to_ns_ticks(
         cpumodel::model_cpu_time(spec_, reference_workload(h_tilde, n, 1)).seconds);
-    run_reference_recursion(h_tilde, params, executed, instance_ticks, mu_sum);
+    RecursionWorkspace ws(d, 1);
+    run_reference_recursion(h_tilde, params, executed, instance_ticks, ws, mu_sum);
   } else {
     const std::uint64_t instance_ticks = blocked_instance_ticks(spec_, h_tilde, n, block);
-    run_blocked_recursion(h_tilde, params, executed, block, instance_ticks, mu_sum);
+    RecursionWorkspace ws(d, block);
+    run_blocked_recursion(h_tilde, params, executed, block, instance_ticks, ws, mu_sum);
   }
 
   MomentResult result;
@@ -348,12 +369,20 @@ MomentResult CpuParallelMomentEngine::compute(const linalg::MatrixOperator& h_ti
                        cpumodel::model_cpu_time(spec_, reference_workload(h_tilde, n, 1)).seconds)
                  : blocked_instance_ticks(spec_, h_tilde, n, block);
 
+  // Lane workspaces persist across calls; a shape change frees every stale
+  // one here, before any lane allocates, so peak memory never holds both.
+  workspaces_.resize(static_cast<std::size_t>(threads_));
+  for (auto& ws : workspaces_)
+    if (!ws.fits(d, block)) ws.release();
+
   if (serial_path) {
     // No parallelism to exploit: skip the pool and contribution buffer.
+    RecursionWorkspace& ws = workspaces_[0];
+    ws.fit(d, block);
     if (block <= 1)
-      run_reference_recursion(h_tilde, params, executed, instance_ticks, mu_sum);
+      run_reference_recursion(h_tilde, params, executed, instance_ticks, ws, mu_sum);
     else
-      run_blocked_recursion(h_tilde, params, executed, block, instance_ticks, mu_sum);
+      run_blocked_recursion(h_tilde, params, executed, block, instance_ticks, ws, mu_sum);
   } else {
     if (!pool_ || pool_->size() != static_cast<std::size_t>(threads_))
       pool_ = std::make_unique<common::ThreadPool>(static_cast<std::size_t>(threads_));
@@ -370,8 +399,9 @@ MomentResult CpuParallelMomentEngine::compute(const linalg::MatrixOperator& h_ti
     std::vector<double> contributions(executed * n, 0.0);
     if (block <= 1) {
       obs::sharded_parallel_for(
-          *pool_, executed, [&](std::size_t /*lane*/, std::size_t begin, std::size_t end) {
-            RecursionWorkspace ws(d);
+          *pool_, executed, [&](std::size_t lane, std::size_t begin, std::size_t end) {
+            RecursionWorkspace& ws = workspaces_[lane];
+            ws.fit(d, block);
             const std::span<double> rows(contributions);
             for (std::size_t inst = begin; inst < end; ++inst) {
               accumulate_instance(h_tilde, params, inst, ws, rows.subspan(inst * n, n));
@@ -380,8 +410,9 @@ MomentResult CpuParallelMomentEngine::compute(const linalg::MatrixOperator& h_ti
           });
     } else {
       obs::sharded_parallel_for(
-          *pool_, groups, [&](std::size_t /*lane*/, std::size_t begin, std::size_t end) {
-            BlockWorkspace ws(d, block);
+          *pool_, groups, [&](std::size_t lane, std::size_t begin, std::size_t end) {
+            RecursionWorkspace& ws = workspaces_[lane];
+            ws.fit(d, block);
             const std::span<double> rows(contributions);
             for (std::size_t g = begin; g < end; ++g) {
               const std::size_t first = g * block;
@@ -464,7 +495,7 @@ MomentResult CpuPairedMomentEngine::compute(const linalg::MatrixOperator& h_tild
       static_cast<double>(block));
 
   if (block <= 1) {
-    RecursionWorkspace ws(d);
+    RecursionWorkspace ws(d, 1);
     for (std::size_t inst = 0; inst < executed; ++inst) {
       obs::record(obs::Histo::InstanceModelNs, instance_ticks);
       obs::add(obs::Counter::InstancesExecuted, 1.0);
@@ -500,7 +531,7 @@ MomentResult CpuPairedMomentEngine::compute(const linalg::MatrixOperator& h_tild
     // Blocked paired recursion: one matrix stream advances all members of a
     // group through the half-length recursion.  Member rows are summed in
     // instance order, so results are bit-identical to the per-vector loop.
-    BlockWorkspace ws(d, block);
+    RecursionWorkspace ws(d, block);
     std::vector<double> rows(block * n);
     std::vector<double> mu0s(block), mu1s(block);
     std::vector<linalg::PairedDots> dots2(block);

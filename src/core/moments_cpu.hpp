@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "cpumodel/cpu_spec.hpp"
 #include "cpumodel/roofline.hpp"
@@ -27,6 +28,10 @@ class ThreadPool;
 }
 
 namespace kpm::core {
+
+namespace detail {
+struct RecursionWorkspace;
+}
 
 /// Serial reference engine (one moment per SpMV).
 class CpuMomentEngine final : public MomentEngine {
@@ -92,6 +97,10 @@ class CpuParallelMomentEngine final : public MomentEngine {
   int threads_;
   cpumodel::CpuSpec spec_;
   std::unique_ptr<common::ThreadPool> pool_;  ///< lazily created, reused across computes
+  /// One recursion workspace per pool lane (4 * block * dim doubles each),
+  /// reused across computes and reallocated only when dim or block changes;
+  /// held until the engine is destroyed.
+  std::vector<detail::RecursionWorkspace> workspaces_;
 };
 
 /// Shared helper: fills `r0` with the instance's random vector elements

@@ -1,6 +1,7 @@
 #include "linalg/fused_kernels.hpp"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -45,35 +46,33 @@ void meter_spmmv(std::size_t spmv_flops, std::size_t matrix_bytes, std::size_t d
            static_cast<double>(matrix_bytes) + 2.0 * b * d * sizeof(double));
 }
 
-[[nodiscard]] std::size_t crs_matrix_bytes(const CrsMatrix& a) {
-  // Must match MatrixOperator::spmv_matrix_bytes for CRS storage.
+// Per-storage cost of one matrix stream: SpMV flops per product and the
+// matrix bytes (must match MatrixOperator::spmv_flops/spmv_matrix_bytes).
+[[nodiscard]] std::size_t spmv_flops(const CrsMatrix& a) { return 2 * a.nnz(); }
+[[nodiscard]] std::size_t spmv_flops(const SellMatrix& a) { return 2 * a.nnz(); }
+[[nodiscard]] std::size_t spmv_flops(const DenseMatrix& a) { return 2 * a.rows() * a.cols(); }
+
+[[nodiscard]] std::size_t matrix_bytes(const CrsMatrix& a) {
   return a.nnz() * (sizeof(double) + sizeof(CrsMatrix::Index)) +
          (a.rows() + 1) * sizeof(CrsMatrix::Index);
 }
-
-void require_fused_preconditions(std::size_t rows, std::size_t cols,
-                                 std::span<const double> r_prev, std::span<const double> r_prev2,
-                                 std::span<double> r_next) {
-  KPM_REQUIRE(rows == cols, "spmv_combine_dot: matrix must be square");
-  KPM_REQUIRE(r_prev.size() == cols && r_prev2.size() == rows && r_next.size() == rows,
-              "spmv_combine_dot: vector size mismatch");
-  KPM_REQUIRE(r_next.data() != r_prev.data(), "spmv_combine_dot: r_next must not alias r_prev");
-  KPM_REQUIRE(r_next.data() != r_prev2.data(),
-              "spmv_combine_dot: r_next must not alias r_prev2");
+[[nodiscard]] std::size_t matrix_bytes(const SellMatrix& a) { return a.spmv_matrix_bytes(); }
+[[nodiscard]] std::size_t matrix_bytes(const DenseMatrix& a) {
+  return a.rows() * a.cols() * sizeof(double);
 }
 
-void require_spmmv_preconditions(std::size_t rows, std::size_t cols, std::size_t block,
-                                 std::span<const double> r_prev,
-                                 std::span<const double> r_prev2, std::span<double> r_next) {
-  KPM_REQUIRE(block >= 1, "spmmv_combine_dot: block must be >= 1");
-  KPM_REQUIRE(rows == cols, "spmmv_combine_dot: matrix must be square");
+void require_pass_preconditions(const char* what, std::size_t rows, std::size_t cols,
+                                std::size_t block, std::span<const double> r_prev,
+                                std::span<const double> r_prev2, std::span<double> r_next) {
+  KPM_REQUIRE(block >= 1, std::string(what) + ": block must be >= 1");
+  KPM_REQUIRE(rows == cols, std::string(what) + ": matrix must be square");
   KPM_REQUIRE(r_prev.size() == cols * block && r_prev2.size() == rows * block &&
                   r_next.size() == rows * block,
-              "spmmv_combine_dot: block size mismatch");
+              std::string(what) + ": vector size mismatch");
   KPM_REQUIRE(r_next.data() != r_prev.data(),
-              "spmmv_combine_dot: r_next must not alias r_prev");
+              std::string(what) + ": r_next must not alias r_prev");
   KPM_REQUIRE(r_next.data() != r_prev2.data(),
-              "spmmv_combine_dot: r_next must not alias r_prev2");
+              std::string(what) + ": r_next must not alias r_prev2");
 }
 
 // ---------------------------------------------------------------------------
@@ -123,135 +122,262 @@ struct SellAccess {
 };
 
 struct DenseAccess {
-  const DenseMatrix& a;
+  std::span<const double> values;  // row-major
   std::size_t cols;
 
-  explicit DenseAccess(const DenseMatrix& m) : a(m), cols(m.cols()) {}
+  explicit DenseAccess(const DenseMatrix& m) : values(m.data()), cols(m.cols()) {}
 
   template <typename F>
   void row_entries(std::size_t r, F&& f) const {
-    const auto row = a.row(r);
+    const double* row = values.data() + r * cols;
     for (std::size_t c = 0; c < cols; ++c) f(row[c], c);
   }
 };
 
+[[nodiscard]] CrsAccess row_access(const CrsMatrix& a) { return CrsAccess(a); }
+[[nodiscard]] SellAccess row_access(const SellMatrix& a) { return SellAccess(a); }
+[[nodiscard]] DenseAccess row_access(const DenseMatrix& a) { return DenseAccess(a); }
+
 // ---------------------------------------------------------------------------
-// Shared kernel bodies, templated on the row-access policy.
+// Block-width dispatch.  Every kernel body is a template over Members<W>:
+// for W > 0 the member count and the interleave stride are the compile-time
+// width W, so the member loops unroll and the fixed-size local accumulators
+// (acc[W], lanes[4][W]) live in registers and L1 instead of heap scratch.
+// W = 0 is the one generic instantiation for every other width: it covers
+// the members [first, first + count) of a block of runtime width `stride`,
+// with count <= kGenericTile so its local arrays are fixed-size too.  A
+// block wider than kGenericTile is swept tile by tile; each member's
+// arithmetic is the same in every instantiation.
 
-template <typename Access>
-double fused_dot_kernel(const Access& acc_rows, std::size_t rows,
-                        std::span<const double> r_prev, std::span<const double> r_prev2,
-                        std::span<const double> r0, std::span<double> r_next) {
-  // Dot lanes follow linalg::dot's canonical order: row r feeds lane r & 3.
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc = 0.0;  // same accumulation order as CrsMatrix::multiply
-    acc_rows.row_entries(r, [&](double v, std::size_t c) { acc += v * r_prev[c]; });
-    const double next = 2.0 * acc - r_prev2[r];
-    r_next[r] = next;
-    lane[r & 3] += r0[r] * next;
+inline constexpr std::size_t kGenericTile = 64;
+
+template <std::size_t W>
+struct Members {
+  static constexpr std::size_t kCap = W > 0 ? W : kGenericTile;
+  std::size_t stride_ = W;  ///< block width B: element i of member j is at i*B + j
+  std::size_t first = 0;    ///< first member covered
+  std::size_t count_ = W;   ///< members covered
+
+  [[nodiscard]] constexpr std::size_t stride() const {
+    if constexpr (W > 0) return W;
+    return stride_;
   }
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  [[nodiscard]] constexpr std::size_t count() const {
+    if constexpr (W > 0) return W;
+    return count_;
+  }
+};
+
+/// Calls `sweep(members)` once with the compile-time width when `block` is
+/// one of {1, 2, 4, 8, 16, 32}; otherwise once per generic tile.
+template <typename Sweep>
+void for_block_width(std::size_t block, Sweep&& sweep) {
+  switch (block) {
+    case 1: return sweep(Members<1>{});
+    case 2: return sweep(Members<2>{});
+    case 4: return sweep(Members<4>{});
+    case 8: return sweep(Members<8>{});
+    case 16: return sweep(Members<16>{});
+    case 32: return sweep(Members<32>{});
+    default:
+      for (std::size_t first = 0; first < block; first += kGenericTile)
+        sweep(Members<0>{block, first, std::min(kGenericTile, block - first)});
+  }
 }
 
-template <typename Access>
-PairedDots fused_dot2_kernel(const Access& acc_rows, std::size_t rows,
-                             std::span<const double> r_prev, std::span<const double> r_prev2,
-                             std::span<double> r_next) {
-  double lane_np[4] = {0.0, 0.0, 0.0, 0.0};
-  double lane_pp[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc = 0.0;
-    acc_rows.row_entries(r, [&](double v, std::size_t c) { acc += v * r_prev[c]; });
-    const double next = 2.0 * acc - r_prev2[r];
-    const double prev = r_prev[r];
-    r_next[r] = next;
-    lane_np[r & 3] += next * prev;
-    lane_pp[r & 3] += prev * prev;
-  }
-  PairedDots dots;
-  dots.next_prev = (lane_np[0] + lane_np[1]) + (lane_np[2] + lane_np[3]);
-  dots.prev_prev = (lane_pp[0] + lane_pp[1]) + (lane_pp[2] + lane_pp[3]);
-  return dots;
-}
+// ---------------------------------------------------------------------------
+// Kernel bodies, templated on the row-access policy and the block width.
 
-template <typename Access>
-void spmmv_multiply_kernel(const Access& acc_rows, std::size_t rows, std::size_t block,
-                           std::span<const double> x, std::span<double> y) {
-  std::vector<double> acc(block);
+/// One matrix pass: per logical row r, acc[j] = sum over the row's entries
+/// (v, c) of v * x_j[c] in entry order — the same accumulation as
+/// CrsMatrix::multiply for every member — then `row_end(r, acc)`.  The
+/// access policy is taken by value so the compiler knows the output stores
+/// cannot move the matrix arrays it walks.
+template <std::size_t W, typename Access, typename RowEnd>
+void sweep_rows(const Access rows_of, std::size_t rows, Members<W> m, const double* x,
+                RowEnd&& row_end) {
+  const std::size_t stride = m.stride();
+  const std::size_t count = m.count();
+  x += m.first;
+  double acc[Members<W>::kCap] = {};
   for (std::size_t r = 0; r < rows; ++r) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    // Member-inner loop: x[c*B + j] is unit-stride, and each member's
-    // per-row accumulation order matches the single-vector multiply.
-    acc_rows.row_entries(r, [&](double v, std::size_t c) {
-      const double* xc = x.data() + c * block;
-      for (std::size_t j = 0; j < block; ++j) acc[j] += v * xc[j];
+    for (std::size_t j = 0; j < count; ++j) acc[j] = 0.0;
+    // Member-inner loop: x[c*B + j] is unit-stride.
+    rows_of.row_entries(r, [&](double v, std::size_t c) {
+      const double* xc = x + c * stride;
+      for (std::size_t j = 0; j < count; ++j) acc[j] += v * xc[j];
     });
-    double* yr = y.data() + r * block;
-    for (std::size_t j = 0; j < block; ++j) yr[j] = acc[j];
+    row_end(r, static_cast<const double*>(acc));
   }
 }
 
-template <typename Access>
-void spmmv_dot_kernel(const Access& acc_rows, std::size_t rows, std::size_t block,
-                      std::span<const double> r_prev, std::span<const double> r_prev2,
-                      std::span<const double> r0, std::span<double> r_next,
-                      std::span<double> dots) {
-  std::vector<double> acc(block);
-  std::vector<double> lanes(4 * block, 0.0);  // lanes[4*j + (r & 3)]
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    acc_rows.row_entries(r, [&](double v, std::size_t c) {
-      const double* xc = r_prev.data() + c * block;
-      for (std::size_t j = 0; j < block; ++j) acc[j] += v * xc[j];
-    });
-    const double* p2 = r_prev2.data() + r * block;
-    const double* z = r0.data() + r * block;
-    double* yr = r_next.data() + r * block;
-    const std::size_t lane = r & 3;
-    for (std::size_t j = 0; j < block; ++j) {
+/// Folds one member's four dot lanes: (l0 + l1) + (l2 + l3), linalg::dot's
+/// canonical order.
+template <std::size_t Cap>
+[[nodiscard]] double fold_lanes(const double (&lanes)[4][Cap], std::size_t j) {
+  return (lanes[0][j] + lanes[1][j]) + (lanes[2][j] + lanes[3][j]);
+}
+
+template <std::size_t W, typename Access>
+void multiply_sweep(const Access& rows_of, std::size_t rows, Members<W> m, const double* x,
+                    double* y) {
+  const std::size_t stride = m.stride();
+  const std::size_t count = m.count();
+  y += m.first;
+  sweep_rows(rows_of, rows, m, x, [&](std::size_t r, const double* acc) {
+    double* yr = y + r * stride;
+    for (std::size_t j = 0; j < count; ++j) yr[j] = acc[j];
+  });
+}
+
+template <std::size_t W, typename Access>
+void combine_dot_sweep(const Access& rows_of, std::size_t rows, Members<W> m,
+                       const double* r_prev, const double* r_prev2, const double* r0,
+                       double* r_next, double* dots) {
+  const std::size_t stride = m.stride();
+  const std::size_t count = m.count();
+  r_prev2 += m.first;
+  r0 += m.first;
+  r_next += m.first;
+  // lanes[r & 3][j]: row r feeds lane r mod 4 of member j (linalg::dot order).
+  double lanes[4][Members<W>::kCap] = {};
+  sweep_rows(rows_of, rows, m, r_prev, [&](std::size_t r, const double* acc) {
+    const double* p2 = r_prev2 + r * stride;
+    const double* z = r0 + r * stride;
+    double* yr = r_next + r * stride;
+    double* lane = lanes[r & 3];
+    for (std::size_t j = 0; j < count; ++j) {
       const double next = 2.0 * acc[j] - p2[j];
       yr[j] = next;
-      lanes[4 * j + lane] += z[j] * next;
+      lane[j] += z[j] * next;
     }
-  }
-  for (std::size_t j = 0; j < block; ++j) {
-    const double* l = lanes.data() + 4 * j;
-    dots[j] = (l[0] + l[1]) + (l[2] + l[3]);
-  }
+  });
+  for (std::size_t j = 0; j < count; ++j) dots[m.first + j] = fold_lanes(lanes, j);
 }
 
-template <typename Access>
-void spmmv_dot2_kernel(const Access& acc_rows, std::size_t rows, std::size_t block,
-                       std::span<const double> r_prev, std::span<const double> r_prev2,
-                       std::span<double> r_next, std::span<PairedDots> dots) {
-  std::vector<double> acc(block);
-  std::vector<double> lanes_np(4 * block, 0.0);
-  std::vector<double> lanes_pp(4 * block, 0.0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    acc_rows.row_entries(r, [&](double v, std::size_t c) {
-      const double* xc = r_prev.data() + c * block;
-      for (std::size_t j = 0; j < block; ++j) acc[j] += v * xc[j];
-    });
-    const double* p2 = r_prev2.data() + r * block;
-    const double* pv = r_prev.data() + r * block;
-    double* yr = r_next.data() + r * block;
-    const std::size_t lane = r & 3;
-    for (std::size_t j = 0; j < block; ++j) {
+template <std::size_t W, typename Access>
+void combine_dot2_sweep(const Access& rows_of, std::size_t rows, Members<W> m,
+                        const double* r_prev, const double* r_prev2, double* r_next,
+                        PairedDots* dots) {
+  const std::size_t stride = m.stride();
+  const std::size_t count = m.count();
+  const double* pv_base = r_prev + m.first;
+  r_prev2 += m.first;
+  r_next += m.first;
+  double lanes_np[4][Members<W>::kCap] = {};
+  double lanes_pp[4][Members<W>::kCap] = {};
+  sweep_rows(rows_of, rows, m, r_prev, [&](std::size_t r, const double* acc) {
+    const double* p2 = r_prev2 + r * stride;
+    const double* pv = pv_base + r * stride;
+    double* yr = r_next + r * stride;
+    double* np = lanes_np[r & 3];
+    double* pp = lanes_pp[r & 3];
+    for (std::size_t j = 0; j < count; ++j) {
       const double next = 2.0 * acc[j] - p2[j];
       const double prev = pv[j];
       yr[j] = next;
-      lanes_np[4 * j + lane] += next * prev;
-      lanes_pp[4 * j + lane] += prev * prev;
+      np[j] += next * prev;
+      pp[j] += prev * prev;
     }
+  });
+  for (std::size_t j = 0; j < count; ++j) {
+    dots[m.first + j].next_prev = fold_lanes(lanes_np, j);
+    dots[m.first + j].prev_prev = fold_lanes(lanes_pp, j);
   }
-  for (std::size_t j = 0; j < block; ++j) {
-    const double* np = lanes_np.data() + 4 * j;
-    const double* pp = lanes_pp.data() + 4 * j;
-    dots[j].next_prev = (np[0] + np[1]) + (np[2] + np[3]);
-    dots[j].prev_prev = (pp[0] + pp[1]) + (pp[2] + pp[3]);
+}
+
+template <std::size_t W>
+void block_dot_sweep(std::size_t dim, Members<W> m, const double* x, const double* y,
+                     double* dots) {
+  const std::size_t stride = m.stride();
+  const std::size_t count = m.count();
+  x += m.first;
+  y += m.first;
+  double lanes[4][Members<W>::kCap] = {};  // element i feeds lane i mod 4
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double* xi = x + i * stride;
+    const double* yi = y + i * stride;
+    double* lane = lanes[i & 3];
+    for (std::size_t j = 0; j < count; ++j) lane[j] += xi[j] * yi[j];
   }
+  for (std::size_t j = 0; j < count; ++j) dots[m.first + j] = fold_lanes(lanes, j);
+}
+
+// ---------------------------------------------------------------------------
+// Checked, metered passes shared by every storage and by the single-vector
+// API (block = 1).  `what` names the public entry point in error messages;
+// the message string is only built when a check fails.
+
+template <typename Matrix>
+void multiply_pass(const Matrix& a, std::size_t block, std::span<const double> x,
+                   std::span<double> y) {
+  KPM_REQUIRE(block >= 1, "spmmv_multiply: block must be >= 1");
+  KPM_REQUIRE(x.size() == a.cols() * block && y.size() == a.rows() * block,
+              "spmmv_multiply: block size mismatch");
+  KPM_REQUIRE(y.data() != x.data(), "spmmv_multiply: y must not alias x");
+  meter_spmmv(spmv_flops(a), matrix_bytes(a), a.rows(), block);
+  const auto rows_of = row_access(a);
+  for_block_width(block, [&](auto m) {
+    multiply_sweep(rows_of, a.rows(), m, x.data(), y.data());
+  });
+}
+
+template <typename Matrix>
+void combine_dot_pass(const char* what, const Matrix& a, std::size_t block,
+                      std::span<const double> r_prev, std::span<const double> r_prev2,
+                      std::span<const double> r0, std::span<double> r_next,
+                      std::span<double> dots) {
+  require_pass_preconditions(what, a.rows(), a.cols(), block, r_prev, r_prev2, r_next);
+  KPM_REQUIRE(r0.size() == a.rows() * block && dots.size() == block,
+              std::string(what) + ": r0/dots size mismatch");
+  KPM_REQUIRE(r_next.data() != r0.data(), std::string(what) + ": r_next must not alias r0");
+  meter_fused(spmv_flops(a), matrix_bytes(a), a.rows(), 1, sizeof(double), block);
+  const auto rows_of = row_access(a);
+  for_block_width(block, [&](auto m) {
+    combine_dot_sweep(rows_of, a.rows(), m, r_prev.data(), r_prev2.data(), r0.data(),
+                      r_next.data(), dots.data());
+  });
+}
+
+template <typename Matrix>
+void combine_dot2_pass(const char* what, const Matrix& a, std::size_t block,
+                       std::span<const double> r_prev, std::span<const double> r_prev2,
+                       std::span<double> r_next, std::span<PairedDots> dots) {
+  require_pass_preconditions(what, a.rows(), a.cols(), block, r_prev, r_prev2, r_next);
+  KPM_REQUIRE(dots.size() == block, std::string(what) + ": dots size mismatch");
+  meter_fused(spmv_flops(a), matrix_bytes(a), a.rows(), 2, sizeof(double), block);
+  const auto rows_of = row_access(a);
+  for_block_width(block, [&](auto m) {
+    combine_dot2_sweep(rows_of, a.rows(), m, r_prev.data(), r_prev2.data(), r_next.data(),
+                       dots.data());
+  });
+}
+
+template <typename Matrix>
+double single_combine_dot(const Matrix& a, std::span<const double> r_prev,
+                          std::span<const double> r_prev2, std::span<const double> r0,
+                          std::span<double> r_next) {
+  double mu = 0.0;
+  combine_dot_pass("spmv_combine_dot", a, 1, r_prev, r_prev2, r0, r_next,
+                   std::span<double>(&mu, 1));
+  return mu;
+}
+
+template <typename Matrix>
+PairedDots single_combine_dot2(const Matrix& a, std::span<const double> r_prev,
+                               std::span<const double> r_prev2, std::span<double> r_next) {
+  PairedDots dots;
+  combine_dot2_pass("spmv_combine_dot2", a, 1, r_prev, r_prev2, r_next,
+                    std::span<PairedDots>(&dots, 1));
+  return dots;
+}
+
+/// Calls `f` with the operator's concrete storage.
+template <typename F>
+decltype(auto) with_storage(const MatrixOperator& op, F&& f) {
+  if (op.dense() != nullptr) return f(*op.dense());
+  if (op.crs() != nullptr) return f(*op.crs());
+  return f(*op.sell());
 }
 
 }  // namespace
@@ -259,140 +385,47 @@ void spmmv_dot2_kernel(const Access& acc_rows, std::size_t rows, std::size_t blo
 double spmv_combine_dot(const CrsMatrix& a, std::span<const double> r_prev,
                         std::span<const double> r_prev2, std::span<const double> r0,
                         std::span<double> r_next) {
-  require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
-  KPM_REQUIRE(r0.size() == a.rows(), "spmv_combine_dot: r0 size mismatch");
-  KPM_REQUIRE(r_next.data() != r0.data(), "spmv_combine_dot: r_next must not alias r0");
-  meter_fused(2 * a.nnz(), crs_matrix_bytes(a), a.rows(), 1, sizeof(double));
-
-  const auto row_ptr = a.row_ptr();
-  const auto col_idx = a.col_idx();
-  const auto values = a.values();
-  const std::size_t rows = a.rows();
-
-  // Dot lanes follow linalg::dot's canonical order: row r feeds lane r & 3.
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc = 0.0;  // same accumulation order as CrsMatrix::multiply
-    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      acc += values[kk] * r_prev[static_cast<std::size_t>(col_idx[kk])];
-    }
-    const double next = 2.0 * acc - r_prev2[r];
-    r_next[r] = next;
-    lane[r & 3] += r0[r] * next;
-  }
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  return single_combine_dot(a, r_prev, r_prev2, r0, r_next);
 }
 
 double spmv_combine_dot(const DenseMatrix& a, std::span<const double> r_prev,
                         std::span<const double> r_prev2, std::span<const double> r0,
                         std::span<double> r_next) {
-  require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
-  KPM_REQUIRE(r0.size() == a.rows(), "spmv_combine_dot: r0 size mismatch");
-  KPM_REQUIRE(r_next.data() != r0.data(), "spmv_combine_dot: r_next must not alias r0");
-  meter_fused(2 * a.rows() * a.cols(), a.rows() * a.cols() * sizeof(double), a.rows(), 1,
-              sizeof(double));
-
-  const std::size_t rows = a.rows();
-  const std::size_t cols = a.cols();
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto row = a.row(r);
-    double acc = 0.0;  // same accumulation order as DenseMatrix::multiply
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * r_prev[c];
-    const double next = 2.0 * acc - r_prev2[r];
-    r_next[r] = next;
-    lane[r & 3] += r0[r] * next;
-  }
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  return single_combine_dot(a, r_prev, r_prev2, r0, r_next);
 }
 
 double spmv_combine_dot(const SellMatrix& a, std::span<const double> r_prev,
                         std::span<const double> r_prev2, std::span<const double> r0,
                         std::span<double> r_next) {
-  require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
-  KPM_REQUIRE(r0.size() == a.rows(), "spmv_combine_dot: r0 size mismatch");
-  KPM_REQUIRE(r_next.data() != r0.data(), "spmv_combine_dot: r_next must not alias r0");
-  meter_fused(2 * a.nnz(), a.spmv_matrix_bytes(), a.rows(), 1, sizeof(double));
-  return fused_dot_kernel(SellAccess(a), a.rows(), r_prev, r_prev2, r0, r_next);
+  return single_combine_dot(a, r_prev, r_prev2, r0, r_next);
 }
 
 double spmv_combine_dot(const MatrixOperator& op, std::span<const double> r_prev,
                         std::span<const double> r_prev2, std::span<const double> r0,
                         std::span<double> r_next) {
-  if (op.dense() != nullptr) return spmv_combine_dot(*op.dense(), r_prev, r_prev2, r0, r_next);
-  if (op.crs() != nullptr) return spmv_combine_dot(*op.crs(), r_prev, r_prev2, r0, r_next);
-  return spmv_combine_dot(*op.sell(), r_prev, r_prev2, r0, r_next);
+  return with_storage(
+      op, [&](const auto& a) { return single_combine_dot(a, r_prev, r_prev2, r0, r_next); });
 }
 
 PairedDots spmv_combine_dot2(const CrsMatrix& a, std::span<const double> r_prev,
                              std::span<const double> r_prev2, std::span<double> r_next) {
-  require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
-  meter_fused(2 * a.nnz(), crs_matrix_bytes(a), a.rows(), 2, sizeof(double));
-
-  const auto row_ptr = a.row_ptr();
-  const auto col_idx = a.col_idx();
-  const auto values = a.values();
-  const std::size_t rows = a.rows();
-
-  double lane_np[4] = {0.0, 0.0, 0.0, 0.0};
-  double lane_pp[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc = 0.0;
-    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      acc += values[kk] * r_prev[static_cast<std::size_t>(col_idx[kk])];
-    }
-    const double next = 2.0 * acc - r_prev2[r];
-    const double prev = r_prev[r];
-    r_next[r] = next;
-    lane_np[r & 3] += next * prev;
-    lane_pp[r & 3] += prev * prev;
-  }
-  PairedDots dots;
-  dots.next_prev = (lane_np[0] + lane_np[1]) + (lane_np[2] + lane_np[3]);
-  dots.prev_prev = (lane_pp[0] + lane_pp[1]) + (lane_pp[2] + lane_pp[3]);
-  return dots;
+  return single_combine_dot2(a, r_prev, r_prev2, r_next);
 }
 
 PairedDots spmv_combine_dot2(const DenseMatrix& a, std::span<const double> r_prev,
                              std::span<const double> r_prev2, std::span<double> r_next) {
-  require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
-  meter_fused(2 * a.rows() * a.cols(), a.rows() * a.cols() * sizeof(double), a.rows(), 2,
-              sizeof(double));
-
-  const std::size_t rows = a.rows();
-  const std::size_t cols = a.cols();
-  double lane_np[4] = {0.0, 0.0, 0.0, 0.0};
-  double lane_pp[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto row = a.row(r);
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * r_prev[c];
-    const double next = 2.0 * acc - r_prev2[r];
-    const double prev = r_prev[r];
-    r_next[r] = next;
-    lane_np[r & 3] += next * prev;
-    lane_pp[r & 3] += prev * prev;
-  }
-  PairedDots dots;
-  dots.next_prev = (lane_np[0] + lane_np[1]) + (lane_np[2] + lane_np[3]);
-  dots.prev_prev = (lane_pp[0] + lane_pp[1]) + (lane_pp[2] + lane_pp[3]);
-  return dots;
+  return single_combine_dot2(a, r_prev, r_prev2, r_next);
 }
 
 PairedDots spmv_combine_dot2(const SellMatrix& a, std::span<const double> r_prev,
                              std::span<const double> r_prev2, std::span<double> r_next) {
-  require_fused_preconditions(a.rows(), a.cols(), r_prev, r_prev2, r_next);
-  meter_fused(2 * a.nnz(), a.spmv_matrix_bytes(), a.rows(), 2, sizeof(double));
-  return fused_dot2_kernel(SellAccess(a), a.rows(), r_prev, r_prev2, r_next);
+  return single_combine_dot2(a, r_prev, r_prev2, r_next);
 }
 
 PairedDots spmv_combine_dot2(const MatrixOperator& op, std::span<const double> r_prev,
                              std::span<const double> r_prev2, std::span<double> r_next) {
-  if (op.dense() != nullptr) return spmv_combine_dot2(*op.dense(), r_prev, r_prev2, r_next);
-  if (op.crs() != nullptr) return spmv_combine_dot2(*op.crs(), r_prev, r_prev2, r_next);
-  return spmv_combine_dot2(*op.sell(), r_prev, r_prev2, r_next);
+  return with_storage(
+      op, [&](const auto& a) { return single_combine_dot2(a, r_prev, r_prev2, r_next); });
 }
 
 double spmv_combine_dot_re(const CrsMatrixZ& a, std::span<const std::complex<double>> r_prev,
@@ -452,137 +485,81 @@ void block_dot(std::span<const double> x, std::span<const double> y, std::size_t
               "block_dot: block vector size mismatch");
   KPM_REQUIRE(dots.size() == block, "block_dot: dots size mismatch");
   const std::size_t dim = x.size() / block;
-  std::vector<double> lanes(4 * block, 0.0);  // lanes[4*j + (i & 3)]
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double* xi = x.data() + i * block;
-    const double* yi = y.data() + i * block;
-    const std::size_t lane = i & 3;
-    for (std::size_t j = 0; j < block; ++j) lanes[4 * j + lane] += xi[j] * yi[j];
-  }
-  for (std::size_t j = 0; j < block; ++j) {
-    const double* l = lanes.data() + 4 * j;
-    dots[j] = (l[0] + l[1]) + (l[2] + l[3]);
-  }
+  for_block_width(block,
+                  [&](auto m) { block_dot_sweep(dim, m, x.data(), y.data(), dots.data()); });
 }
 
 void spmmv_multiply(const CrsMatrix& a, std::size_t block, std::span<const double> x,
                     std::span<double> y) {
-  KPM_REQUIRE(block >= 1, "spmmv_multiply: block must be >= 1");
-  KPM_REQUIRE(x.size() == a.cols() * block && y.size() == a.rows() * block,
-              "spmmv_multiply: block size mismatch");
-  KPM_REQUIRE(y.data() != x.data(), "spmmv_multiply: y must not alias x");
-  meter_spmmv(2 * a.nnz(), crs_matrix_bytes(a), a.rows(), block);
-  spmmv_multiply_kernel(CrsAccess(a), a.rows(), block, x, y);
+  multiply_pass(a, block, x, y);
 }
 
 void spmmv_multiply(const SellMatrix& a, std::size_t block, std::span<const double> x,
                     std::span<double> y) {
-  KPM_REQUIRE(block >= 1, "spmmv_multiply: block must be >= 1");
-  KPM_REQUIRE(x.size() == a.cols() * block && y.size() == a.rows() * block,
-              "spmmv_multiply: block size mismatch");
-  KPM_REQUIRE(y.data() != x.data(), "spmmv_multiply: y must not alias x");
-  meter_spmmv(2 * a.nnz(), a.spmv_matrix_bytes(), a.rows(), block);
-  spmmv_multiply_kernel(SellAccess(a), a.rows(), block, x, y);
+  multiply_pass(a, block, x, y);
 }
 
 void spmmv_multiply(const DenseMatrix& a, std::size_t block, std::span<const double> x,
                     std::span<double> y) {
-  KPM_REQUIRE(block >= 1, "spmmv_multiply: block must be >= 1");
-  KPM_REQUIRE(x.size() == a.cols() * block && y.size() == a.rows() * block,
-              "spmmv_multiply: block size mismatch");
-  KPM_REQUIRE(y.data() != x.data(), "spmmv_multiply: y must not alias x");
-  meter_spmmv(2 * a.rows() * a.cols(), a.rows() * a.cols() * sizeof(double), a.rows(), block);
-  spmmv_multiply_kernel(DenseAccess(a), a.rows(), block, x, y);
+  multiply_pass(a, block, x, y);
 }
 
 void spmmv_multiply(const MatrixOperator& op, std::size_t block, std::span<const double> x,
                     std::span<double> y) {
-  if (op.dense() != nullptr) return spmmv_multiply(*op.dense(), block, x, y);
-  if (op.crs() != nullptr) return spmmv_multiply(*op.crs(), block, x, y);
-  return spmmv_multiply(*op.sell(), block, x, y);
+  with_storage(op, [&](const auto& a) { multiply_pass(a, block, x, y); });
 }
 
 void spmmv_combine_dot(const CrsMatrix& a, std::size_t block, std::span<const double> r_prev,
                        std::span<const double> r_prev2, std::span<const double> r0,
                        std::span<double> r_next, std::span<double> dots) {
-  require_spmmv_preconditions(a.rows(), a.cols(), block, r_prev, r_prev2, r_next);
-  KPM_REQUIRE(r0.size() == a.rows() * block && dots.size() == block,
-              "spmmv_combine_dot: r0/dots size mismatch");
-  KPM_REQUIRE(r_next.data() != r0.data(), "spmmv_combine_dot: r_next must not alias r0");
-  meter_fused(2 * a.nnz(), crs_matrix_bytes(a), a.rows(), 1, sizeof(double), block);
-  spmmv_dot_kernel(CrsAccess(a), a.rows(), block, r_prev, r_prev2, r0, r_next, dots);
+  combine_dot_pass("spmmv_combine_dot", a, block, r_prev, r_prev2, r0, r_next, dots);
 }
 
 void spmmv_combine_dot(const SellMatrix& a, std::size_t block, std::span<const double> r_prev,
                        std::span<const double> r_prev2, std::span<const double> r0,
                        std::span<double> r_next, std::span<double> dots) {
-  require_spmmv_preconditions(a.rows(), a.cols(), block, r_prev, r_prev2, r_next);
-  KPM_REQUIRE(r0.size() == a.rows() * block && dots.size() == block,
-              "spmmv_combine_dot: r0/dots size mismatch");
-  KPM_REQUIRE(r_next.data() != r0.data(), "spmmv_combine_dot: r_next must not alias r0");
-  meter_fused(2 * a.nnz(), a.spmv_matrix_bytes(), a.rows(), 1, sizeof(double), block);
-  spmmv_dot_kernel(SellAccess(a), a.rows(), block, r_prev, r_prev2, r0, r_next, dots);
+  combine_dot_pass("spmmv_combine_dot", a, block, r_prev, r_prev2, r0, r_next, dots);
 }
 
 void spmmv_combine_dot(const DenseMatrix& a, std::size_t block, std::span<const double> r_prev,
                        std::span<const double> r_prev2, std::span<const double> r0,
                        std::span<double> r_next, std::span<double> dots) {
-  require_spmmv_preconditions(a.rows(), a.cols(), block, r_prev, r_prev2, r_next);
-  KPM_REQUIRE(r0.size() == a.rows() * block && dots.size() == block,
-              "spmmv_combine_dot: r0/dots size mismatch");
-  KPM_REQUIRE(r_next.data() != r0.data(), "spmmv_combine_dot: r_next must not alias r0");
-  meter_fused(2 * a.rows() * a.cols(), a.rows() * a.cols() * sizeof(double), a.rows(), 1,
-              sizeof(double), block);
-  spmmv_dot_kernel(DenseAccess(a), a.rows(), block, r_prev, r_prev2, r0, r_next, dots);
+  combine_dot_pass("spmmv_combine_dot", a, block, r_prev, r_prev2, r0, r_next, dots);
 }
 
 void spmmv_combine_dot(const MatrixOperator& op, std::size_t block,
                        std::span<const double> r_prev, std::span<const double> r_prev2,
                        std::span<const double> r0, std::span<double> r_next,
                        std::span<double> dots) {
-  if (op.dense() != nullptr)
-    return spmmv_combine_dot(*op.dense(), block, r_prev, r_prev2, r0, r_next, dots);
-  if (op.crs() != nullptr)
-    return spmmv_combine_dot(*op.crs(), block, r_prev, r_prev2, r0, r_next, dots);
-  return spmmv_combine_dot(*op.sell(), block, r_prev, r_prev2, r0, r_next, dots);
+  with_storage(op, [&](const auto& a) {
+    combine_dot_pass("spmmv_combine_dot", a, block, r_prev, r_prev2, r0, r_next, dots);
+  });
 }
 
 void spmmv_combine_dot2(const CrsMatrix& a, std::size_t block, std::span<const double> r_prev,
                         std::span<const double> r_prev2, std::span<double> r_next,
                         std::span<PairedDots> dots) {
-  require_spmmv_preconditions(a.rows(), a.cols(), block, r_prev, r_prev2, r_next);
-  KPM_REQUIRE(dots.size() == block, "spmmv_combine_dot2: dots size mismatch");
-  meter_fused(2 * a.nnz(), crs_matrix_bytes(a), a.rows(), 2, sizeof(double), block);
-  spmmv_dot2_kernel(CrsAccess(a), a.rows(), block, r_prev, r_prev2, r_next, dots);
+  combine_dot2_pass("spmmv_combine_dot2", a, block, r_prev, r_prev2, r_next, dots);
 }
 
 void spmmv_combine_dot2(const SellMatrix& a, std::size_t block, std::span<const double> r_prev,
                         std::span<const double> r_prev2, std::span<double> r_next,
                         std::span<PairedDots> dots) {
-  require_spmmv_preconditions(a.rows(), a.cols(), block, r_prev, r_prev2, r_next);
-  KPM_REQUIRE(dots.size() == block, "spmmv_combine_dot2: dots size mismatch");
-  meter_fused(2 * a.nnz(), a.spmv_matrix_bytes(), a.rows(), 2, sizeof(double), block);
-  spmmv_dot2_kernel(SellAccess(a), a.rows(), block, r_prev, r_prev2, r_next, dots);
+  combine_dot2_pass("spmmv_combine_dot2", a, block, r_prev, r_prev2, r_next, dots);
 }
 
 void spmmv_combine_dot2(const DenseMatrix& a, std::size_t block, std::span<const double> r_prev,
                         std::span<const double> r_prev2, std::span<double> r_next,
                         std::span<PairedDots> dots) {
-  require_spmmv_preconditions(a.rows(), a.cols(), block, r_prev, r_prev2, r_next);
-  KPM_REQUIRE(dots.size() == block, "spmmv_combine_dot2: dots size mismatch");
-  meter_fused(2 * a.rows() * a.cols(), a.rows() * a.cols() * sizeof(double), a.rows(), 2,
-              sizeof(double), block);
-  spmmv_dot2_kernel(DenseAccess(a), a.rows(), block, r_prev, r_prev2, r_next, dots);
+  combine_dot2_pass("spmmv_combine_dot2", a, block, r_prev, r_prev2, r_next, dots);
 }
 
 void spmmv_combine_dot2(const MatrixOperator& op, std::size_t block,
                         std::span<const double> r_prev, std::span<const double> r_prev2,
                         std::span<double> r_next, std::span<PairedDots> dots) {
-  if (op.dense() != nullptr)
-    return spmmv_combine_dot2(*op.dense(), block, r_prev, r_prev2, r_next, dots);
-  if (op.crs() != nullptr)
-    return spmmv_combine_dot2(*op.crs(), block, r_prev, r_prev2, r_next, dots);
-  return spmmv_combine_dot2(*op.sell(), block, r_prev, r_prev2, r_next, dots);
+  with_storage(op, [&](const auto& a) {
+    combine_dot2_pass("spmmv_combine_dot2", a, block, r_prev, r_prev2, r_next, dots);
+  });
 }
 
 void spmmv_combine_dot_re(const CrsMatrixZ& a, std::size_t block,

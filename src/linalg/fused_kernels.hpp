@@ -28,6 +28,16 @@
 // results are bit-identical to B per-vector passes.  SELL-C-sigma operators
 // traverse rows in LOGICAL order through `slot_of()`, with per-row entry
 // order matching CRS, so SELL results are bit-identical to CRS too.
+//
+// Block widths: every kernel body is written once, as a template over the
+// width, and each call dispatches on `block` once.  The widths B in
+// {1, 2, 4, 8, 16, 32} are compiled with B as a constant, so the member
+// loops unroll and the per-row accumulators and per-member dot lanes are
+// fixed-size locals (acc[B], lanes[4][B]) that stay in registers and L1.
+// Any other width runs one generic instantiation that covers up to 64
+// members per matrix pass with the same fixed-size locals (wider blocks
+// take one pass per 64 members).  No call allocates.  The single-vector
+// spmv_combine_dot* kernels are the B = 1 instantiation.
 #pragma once
 
 #include <complex>

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <complex>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -172,6 +173,58 @@ TEST(SpmmvKernels, CombineDot2MatchesPerVectorBitwise) {
   }
 }
 
+// Every compile-time width {1, 2, 4, 8, 16, 32}, the generic fallback (3,
+// 33) and a block wider than one generic tile (70), on every storage.  The
+// expectation is the UNFUSED per-vector sequence (multiply, combine, dot),
+// so the blocked kernels are checked against code they share nothing with.
+TEST(SpmmvKernels, EveryWidthMatchesUnfusedPerVectorBitwise) {
+  const auto crs = sparse_example(23);
+  const auto sell = SellMatrix::from_crs(crs, 4, 8);
+  const auto dense = crs.to_dense();
+  const std::size_t d = crs.rows();
+  for (const std::size_t b : {1u, 2u, 3u, 4u, 8u, 16u, 32u, 33u, 70u}) {
+    std::vector<std::vector<double>> prevs(b, std::vector<double>(d)), prev2s = prevs,
+                                     r0s = prevs;
+    for (std::size_t j = 0; j < b; ++j)
+      for (std::size_t i = 0; i < d; ++i) {
+        prevs[j][i] = wiggle(i * b + j + 2);
+        prev2s[j][i] = wiggle(3 * (i * b + j) + 5);
+        r0s[j][i] = wiggle(7 * (i * b + j) + 1);
+      }
+    const auto prev_b = interleave(prevs), prev2_b = interleave(prev2s), r0_b = interleave(r0s);
+
+    std::vector<double> block_dots(b);
+    kpm::linalg::block_dot(prev_b, r0_b, b, block_dots);
+    for (std::size_t j = 0; j < b; ++j)
+      EXPECT_EQ(block_dots[j], kpm::linalg::dot(prevs[j], r0s[j])) << "B=" << b << " j=" << j;
+
+    for (const MatrixOperator& op :
+         {MatrixOperator(crs), MatrixOperator(sell), MatrixOperator(dense)}) {
+      const std::string where =
+          std::string(kpm::linalg::to_string(op.storage())) + " B=" + std::to_string(b);
+      std::vector<double> hx_b(d * b), next_b(d * b), next2_b(d * b), dots(b);
+      std::vector<kpm::linalg::PairedDots> dots2(b);
+      kpm::linalg::spmmv_multiply(op, b, prev_b, hx_b);
+      kpm::linalg::spmmv_combine_dot(op, b, prev_b, prev2_b, r0_b, next_b, dots);
+      kpm::linalg::spmmv_combine_dot2(op, b, prev_b, prev2_b, next2_b, dots2);
+      std::vector<double> hx(d), next(d);
+      for (std::size_t j = 0; j < b; ++j) {
+        op.multiply(prevs[j], hx);
+        kpm::linalg::chebyshev_combine(hx, prev2s[j], next);
+        EXPECT_EQ(dots[j], kpm::linalg::dot(r0s[j], next)) << where << " j=" << j;
+        EXPECT_EQ(dots2[j].next_prev, kpm::linalg::dot(next, prevs[j])) << where << " j=" << j;
+        EXPECT_EQ(dots2[j].prev_prev, kpm::linalg::dot(prevs[j], prevs[j]))
+            << where << " j=" << j;
+        for (std::size_t i = 0; i < d; ++i) {
+          ASSERT_EQ(hx_b[i * b + j], hx[i]) << where << " j=" << j << " i=" << i;
+          ASSERT_EQ(next_b[i * b + j], next[i]) << where << " j=" << j << " i=" << i;
+          ASSERT_EQ(next2_b[i * b + j], next[i]) << where << " j=" << j << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(SpmmvKernels, ComplexCombineDotReMatchesPerVectorBitwise) {
   const auto h = kpm::lattice::build_square_flux_crs(4, 4, 0.25);
   const kpm::linalg::SpectralTransform t(h.gershgorin(), 0.02);
@@ -272,6 +325,38 @@ TEST(BlockedEngines, ParallelEngineIsBlockAndThreadInvariant) {
     const auto blocked = engine.compute(MatrixOperator(crs), params);
     for (std::size_t k = 0; k < reference.mu.size(); ++k)
       EXPECT_EQ(blocked.mu[k], reference.mu[k]) << "T=" << threads << " k=" << k;
+  }
+}
+
+// One parallel engine keeps its lane workspaces across computes and
+// reallocates them only when the shape changes: a larger block after a
+// smaller one, a smaller operator with a ragged last group, and the
+// unblocked path on the first operator again.  Every call must still equal
+// a fresh serial reference bit for bit.
+TEST(BlockedEngines, ParallelEngineReusesWorkspacesAcrossShapes) {
+  const auto cube6 = cube_h_tilde(6), cube4 = cube_h_tilde(4);
+  struct Shape {
+    const CrsMatrix* h;
+    std::size_t block, instances;
+  };
+  const Shape shapes[] = {{&cube6, 8, 20},   // groups 8, 8, 4
+                          {&cube4, 3, 10},   // groups 3, 3, 3, 1
+                          {&cube6, 1, 6}};   // unblocked path
+  for (const int threads : {1, 2, 4, 7}) {
+    kpm::core::CpuParallelMomentEngine engine(threads);
+    for (int pass = 0; pass < 2; ++pass)
+      for (const Shape& shape : shapes) {
+        auto params = small_params(12, shape.instances, 1);
+        params.block_r = shape.block;
+        const MatrixOperator op(*shape.h);
+        const auto expect = kpm::core::CpuMomentEngine().compute(op, params);
+        const auto got = engine.compute(op, params);
+        ASSERT_EQ(got.mu.size(), expect.mu.size());
+        for (std::size_t k = 0; k < expect.mu.size(); ++k)
+          EXPECT_EQ(got.mu[k], expect.mu[k]) << "T=" << threads << " pass=" << pass
+                                             << " D=" << op.dim() << " B=" << shape.block
+                                             << " k=" << k;
+      }
   }
 }
 

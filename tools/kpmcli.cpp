@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -158,13 +159,21 @@ struct ClusterFlags {
   std::string interconnect = "ib-qdr";
 };
 
+/// Validates a --threads flag for the engines that run a host thread pool.
+int parse_threads(long long threads) {
+  KPM_REQUIRE(threads >= 1, "kpmcli: --threads must be >= 1");
+  KPM_REQUIRE(threads <= std::numeric_limits<int>::max(), "kpmcli: --threads is too large");
+  return static_cast<int>(threads);
+}
+
 /// Builds the moment engine the dos/profile subcommand asked for.
-std::unique_ptr<core::MomentEngine> make_engine(const std::string& name, int threads,
+std::unique_ptr<core::MomentEngine> make_engine(const std::string& name, long long threads,
                                                 const ClusterFlags& cluster = {}) {
   if (name == "gpu") return std::make_unique<core::GpuMomentEngine>();
   if (name == "cpu") return std::make_unique<core::CpuMomentEngine>();
   if (name == "cpu-paired") return std::make_unique<core::CpuPairedMomentEngine>();
-  if (name == "cpu-parallel") return std::make_unique<core::CpuParallelMomentEngine>(threads);
+  if (name == "cpu-parallel")
+    return std::make_unique<core::CpuParallelMomentEngine>(parse_threads(threads));
   if (name == "multigpu") {
     core::MultiGpuEngineConfig cfg;
     cfg.device_count = cluster.devices;
@@ -176,7 +185,7 @@ std::unique_ptr<core::MomentEngine> make_engine(const std::string& name, int thr
     cfg.node_count = cluster.nodes;
     cfg.halo_width = cluster.halo;
     cfg.link = gpusim::InterconnectSpec::from_name(cluster.interconnect);
-    cfg.threads = threads;
+    cfg.threads = parse_threads(threads);
     return std::make_unique<core::ClusterMomentEngine>(cfg);
   }
   KPM_FAIL("unknown engine '" + name + "' (gpu|cpu|cpu-paired|cpu-parallel|multigpu|cluster)");
@@ -202,6 +211,12 @@ OperatorStorage make_operator_storage(const linalg::CrsMatrix& h_tilde,
     KPM_FAIL("unknown storage '" + storage + "' (crs|sell)");
   }
   return s;
+}
+
+/// Validates an --edge flag: a lattice needs at least one cell per edge.
+std::size_t parse_edge(long long edge) {
+  KPM_REQUIRE(edge >= 1, "kpmcli: --edge must be >= 1");
+  return static_cast<std::size_t>(edge);
 }
 
 /// Validates a --block flag: the SpMMV block width must be at least 1.
@@ -239,7 +254,7 @@ int cmd_dos(int argc, const char* const* argv) {
   MetricsSink sink("kpmcli dos", obs_flags);
   const auto w = [&] {
     obs::ScopedSpan span("build.workload");
-    return build_workload(*kind, static_cast<std::size_t>(*edge), *disorder,
+    return build_workload(*kind, parse_edge(*edge), *disorder,
                           static_cast<std::uint64_t>(*seed));
   }();
   // Validate flag *values* before engine compatibility so a typo like
@@ -266,7 +281,7 @@ int cmd_dos(int argc, const char* const* argv) {
   params.random_vectors = static_cast<std::size_t>(*r);
   params.realizations = static_cast<std::size_t>(*s);
   params.block_r = block_r;
-  const auto engine = make_engine(*engine_name, static_cast<int>(*threads), cluster);
+  const auto engine = make_engine(*engine_name, *threads, cluster);
   const auto result = engine->compute(op, params);
   if (!save->empty()) {
     core::MomentFile file;
@@ -316,7 +331,7 @@ int cmd_ldos(int argc, const char* const* argv) {
   MetricsSink sink("kpmcli ldos", obs_flags);
   const auto w = [&] {
     obs::ScopedSpan span("build.workload");
-    return build_workload(*kind, static_cast<std::size_t>(*edge), *disorder,
+    return build_workload(*kind, parse_edge(*edge), *disorder,
                           static_cast<std::uint64_t>(*seed));
   }();
   // A single-site LDOS runs exactly one Chebyshev recursion, so there is no
@@ -359,7 +374,7 @@ int cmd_sigma(int argc, const char* const* argv) {
 
   MetricsSink sink("kpmcli sigma", obs_flags);
   KPM_REQUIRE(*kind != "honeycomb", "kpmcli sigma: honeycomb current operator not implemented");
-  const auto e = static_cast<std::size_t>(*edge);
+  const auto e = parse_edge(*edge);
   lattice::HypercubicLattice lat =
       *kind == "chain" ? lattice::HypercubicLattice::chain(e)
       : *kind == "square" ? lattice::HypercubicLattice::square(e, e)
@@ -406,7 +421,7 @@ int cmd_thermo(int argc, const char* const* argv) {
   const auto* t = cli.add_double("temperature", 0.5, "temperature (k_B = 1)");
   cli.parse(argc, argv);
 
-  const auto w = build_workload(*kind, static_cast<std::size_t>(*edge), 0.0, 0);
+  const auto w = build_workload(*kind, parse_edge(*edge), 0.0, 0);
   linalg::MatrixOperator op(w.h_tilde);
   core::MomentParams params;
   params.num_moments = static_cast<std::size_t>(*n);
@@ -507,7 +522,7 @@ int cmd_slice(int argc, const char* const* argv) {
   const auto* disorder = cli.add_double("disorder", 0.0, "Anderson disorder width");
   cli.parse(argc, argv);
 
-  const auto w = build_workload(*kind, static_cast<std::size_t>(*edge), *disorder, 7);
+  const auto w = build_workload(*kind, parse_edge(*edge), *disorder, 7);
   linalg::MatrixOperator op(w.h);
   linalg::MatrixOperator op_t(w.h_tilde);
   core::FilterOptions opts;
@@ -528,7 +543,7 @@ int cmd_ldosmap(int argc, const char* const* argv) {
   const auto* impurity = cli.add_double("impurity", -8.0, "center-site energy (0 = clean)");
   cli.parse(argc, argv);
 
-  const auto l = static_cast<std::size_t>(*edge);
+  const auto l = parse_edge(*edge);
   const auto lat = lattice::HypercubicLattice::square(l, l);
   const std::size_t center = lat.site_index(l / 2, l / 2, 0);
   const double eps = *impurity;
@@ -770,7 +785,7 @@ int cmd_profile(int argc, const char* const* argv) {
 
   const auto w = [&] {
     obs::ScopedSpan span("build.workload");
-    return build_workload(*kind, static_cast<std::size_t>(*edge), *disorder,
+    return build_workload(*kind, parse_edge(*edge), *disorder,
                           static_cast<std::uint64_t>(*seed));
   }();
   linalg::MatrixOperator op(w.h_tilde);
@@ -801,7 +816,7 @@ int cmd_profile(int argc, const char* const* argv) {
       }
       return std::make_unique<core::ChunkedGpuMomentEngine>(cfg);
     }
-    return make_engine(*engine_name, static_cast<int>(*threads), cluster);
+    return make_engine(*engine_name, *threads, cluster);
   }();
   const auto result = [&] {
     obs::ScopedSpan span("compute.moments");
@@ -948,7 +963,7 @@ serve::ModelSpec synth_model_of(const SynthFlags& f) {
   serve::ModelSpec spec;
   spec.name = "m0";
   spec.lattice = *f.lattice;
-  spec.edge = static_cast<std::size_t>(*f.edge);
+  spec.edge = parse_edge(*f.edge);
   spec.disorder = *f.disorder;
   spec.seed = static_cast<std::uint64_t>(*f.model_seed);
   if (*f.currents) spec.currents = {0};

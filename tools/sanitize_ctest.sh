@@ -8,6 +8,7 @@
 #              e.g. "thread" for TSan)
 #
 # Example: tools/sanitize_ctest.sh address,undefined -R 'obs|golden'
+#          tools/sanitize_ctest.sh thread -R 'ThreadPool|ParallelCpu|BlockedEngines|Cluster'
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -23,7 +24,8 @@ cmake -S "$repo_root" -B "$build_dir" \
   -DKPM_BUILD_EXAMPLES=OFF
 cmake --build "$build_dir" -j "$(nproc)"
 
-# halt_on_error keeps ctest exit codes honest under ASan/UBSan.
+# halt_on_error keeps ctest exit codes honest under ASan/UBSan/TSan.
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
+TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}" \
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" "$@"
