@@ -1,42 +1,33 @@
 #include "core/ldos.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
-#include "linalg/fused_kernels.hpp"
-#include "linalg/vector_ops.hpp"
+#include "core/group_recursion.hpp"
+#include "core/moments_cpu.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
 namespace kpm::core {
 namespace {
 
-/// One Chebyshev recursion from start vector `r0`, accumulating
-/// mu_n += <r0|r_n> into `mu_acc`.  Counted as one instance: a unit start
-/// vector plays the role a random vector plays in the stochastic engines.
-void accumulate_recursion_moments(const linalg::MatrixOperator& h, std::span<const double> r0,
-                                  std::span<double> mu_acc) {
-  const std::size_t d = h.dim();
-  const std::size_t n = mu_acc.size();
-  std::vector<double> r_prev2(r0.begin(), r0.end());
-  std::vector<double> r_prev(d), r_next(d);
-  obs::add(obs::Counter::InstancesExecuted, 1.0);
-  obs::meter_stream_bytes(2.0 * static_cast<double>(d) * sizeof(double));  // r_prev2 copy
-
-  mu_acc[0] += linalg::dot(r0, r0);
-  obs::meter_dot(d);
-  if (n == 1) return;
-  h.multiply(r0, r_prev);
-  obs::meter_spmv(h.spmv_flops(), h.spmv_matrix_bytes(), d);
-  mu_acc[1] += linalg::dot(r0, r_prev);
-  obs::meter_dot(d);
-  for (std::size_t k = 2; k < n; ++k) {
-    mu_acc[k] += linalg::spmv_combine_dot(h, r_prev, r_prev2, r0, r_next);
-    std::swap(r_prev2, r_prev);
-    std::swap(r_prev, r_next);
-  }
+/// Runs one Chebyshev recursion per start vector, `count` of them in groups
+/// of `block`, and returns mu_n = sum over start vectors of <r0|r_n>,
+/// summed in start-vector order.  Each start vector counts as one
+/// instance: a unit vector plays the role a random vector plays in the
+/// stochastic engines.
+std::vector<double> sum_recursion_moments(const linalg::MatrixOperator& h, std::size_t count,
+                                          std::size_t block, std::size_t n,
+                                          const detail::GroupStart& start) {
+  std::vector<double> mu(n, 0.0);
+  detail::RecursionWorkspace ws;
+  detail::run_groups(h, count, block, n, detail::DotPolicy::Single, start, ws,
+                     [&mu](std::span<const double> row) {
+                       for (std::size_t k = 0; k < row.size(); ++k) mu[k] += row[k];
+                     });
+  return mu;
 }
 
 }  // namespace
@@ -47,11 +38,11 @@ std::vector<double> ldos_moments(const linalg::MatrixOperator& h_tilde, std::siz
   KPM_REQUIRE(num_moments >= 1, "ldos_moments: need at least one moment");
   obs::ScopedSpan span("ldos.moments");
   obs::add(obs::Counter::MomentsProduced, static_cast<double>(num_moments));
-  std::vector<double> e(h_tilde.dim(), 0.0);
-  e[site] = 1.0;
-  std::vector<double> mu(num_moments, 0.0);
-  accumulate_recursion_moments(h_tilde, e, mu);
-  return mu;
+  return sum_recursion_moments(h_tilde, 1, 1, num_moments,
+                               [site](std::size_t, std::size_t, std::span<double> r0) {
+                                 std::fill(r0.begin(), r0.end(), 0.0);
+                                 r0[site] = 1.0;
+                               });
 }
 
 DosCurve ldos_curve(const linalg::MatrixOperator& h_tilde,
@@ -67,63 +58,15 @@ std::vector<double> deterministic_trace_moments(const linalg::MatrixOperator& h_
   KPM_REQUIRE(block >= 1, "deterministic_trace_moments: block must be >= 1");
   obs::ScopedSpan span("ldos.deterministic-trace");
   obs::add(obs::Counter::MomentsProduced, static_cast<double>(num_moments));
-  const std::size_t d = h_tilde.dim();
-  const std::size_t n = num_moments;
-  std::vector<double> mu(n, 0.0);
-  if (block <= 1) {
-    std::vector<double> e(d, 0.0);
-    for (std::size_t site = 0; site < d; ++site) {
-      e.assign(d, 0.0);
-      e[site] = 1.0;
-      accumulate_recursion_moments(h_tilde, e, mu);
-    }
-  } else {
-    // Blocked basis sweep: `block` unit vectors share each matrix stream.
-    // Member rows are summed in site order, so the result is bit-identical
-    // to the per-vector sweep.
-    std::vector<double> e(d * block), r_prev2(d * block), r_prev(d * block),
-        r_next(d * block), dots(block), rows(block * n);
-    for (std::size_t first = 0; first < d; first += block) {
-      const std::size_t b = std::min(block, d - first);
-      const std::size_t len = d * b;
-      const auto sub = [len](std::vector<double>& v) {
-        return std::span<double>(v.data(), len);
-      };
-      const std::span<double> dv(dots.data(), b);
-      std::fill(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(len), 0.0);
-      for (std::size_t j = 0; j < b; ++j) e[(first + j) * b + j] = 1.0;
-      std::fill(rows.begin(), rows.end(), 0.0);
-
-      obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
-      std::copy(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(len), r_prev2.begin());
-      obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(double));
-      linalg::block_dot(sub(e), sub(e), b, dv);
-      for (std::size_t j = 0; j < b; ++j) {
-        rows[j * n] += dv[j];
-        obs::meter_dot(d);
-      }
-      if (n > 1) {
-        linalg::spmmv_multiply(h_tilde, b, sub(e), sub(r_prev));
-        linalg::block_dot(sub(e), sub(r_prev), b, dv);
-        for (std::size_t j = 0; j < b; ++j) {
-          rows[j * n + 1] += dv[j];
-          obs::meter_dot(d);
-        }
-        for (std::size_t k = 2; k < n; ++k) {
-          linalg::spmmv_combine_dot(h_tilde, b, sub(r_prev), sub(r_prev2), sub(e),
-                                    sub(r_next), dv);
-          for (std::size_t j = 0; j < b; ++j) rows[j * n + k] += dv[j];
-          std::swap(r_prev2, r_prev);
-          std::swap(r_prev, r_next);
-        }
-      }
-      for (std::size_t j = 0; j < b; ++j) {
-        const double* row = rows.data() + j * n;
-        for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];
-      }
-    }
-  }
-  for (double& m : mu) m /= static_cast<double>(d);
+  // Blocked basis sweep: member j of the group starting at site `first` is
+  // the unit vector |first + j>, so `block` sites share each matrix stream.
+  std::vector<double> mu = sum_recursion_moments(
+      h_tilde, h_tilde.dim(), block, num_moments,
+      [](std::size_t first, std::size_t b, std::span<double> r0) {
+        std::fill(r0.begin(), r0.end(), 0.0);
+        for (std::size_t j = 0; j < b; ++j) r0[(first + j) * b + j] = 1.0;
+      });
+  for (double& m : mu) m /= static_cast<double>(h_tilde.dim());
   return mu;
 }
 

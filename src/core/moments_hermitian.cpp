@@ -17,52 +17,6 @@ namespace {
 
 using Complex = std::complex<double>;
 
-/// Runs one instance's complex Chebyshev recursion, adding Re<r0|r_n> to
-/// mu_sum[n].
-void hermitian_instance(const linalg::CrsMatrixZ& h, std::span<const Complex> r0,
-                        std::vector<Complex>& prev2, std::vector<Complex>& prev,
-                        std::vector<Complex>& next, std::span<double> mu_sum) {
-  const std::size_t d = r0.size();
-  const std::size_t n = mu_sum.size();
-  auto dot_re = [&](std::span<const Complex> v) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < d; ++i) acc += (std::conj(r0[i]) * v[i]).real();
-    return acc;
-  };
-
-  // Instance + non-fused-call meters (the fused complex kernel below meters
-  // itself); complex elements are 16 bytes, complex SpMV is 8 flops/entry.
-  obs::add(obs::Counter::InstancesExecuted, 1.0);
-  const double dd = static_cast<double>(d);
-  const auto meter_dot_re = [&] {
-    obs::add(obs::Counter::DotCalls, 1.0);
-    obs::add(obs::Counter::Flops, 4.0 * dd);
-    obs::add(obs::Counter::BytesStreamed, 2.0 * dd * sizeof(Complex));
-  };
-
-  mu_sum[0] += dot_re(r0);
-  meter_dot_re();
-  if (n == 1) return;
-  h.multiply(r0, prev);
-  obs::add(obs::Counter::SpmvCalls, 1.0);
-  obs::add(obs::Counter::Flops, 8.0 * static_cast<double>(h.nnz()));
-  obs::add(obs::Counter::BytesStreamed,
-           static_cast<double>(h.nnz() * (sizeof(Complex) + sizeof(linalg::CrsMatrixZ::Index)) +
-                               (h.rows() + 1) * sizeof(linalg::CrsMatrixZ::Index)) +
-               2.0 * dd * sizeof(Complex));
-  mu_sum[1] += dot_re(prev);
-  meter_dot_re();
-  prev2.assign(r0.begin(), r0.end());
-  obs::meter_stream_bytes(2.0 * dd * sizeof(Complex));
-  for (std::size_t k = 2; k < n; ++k) {
-    // Fused SpMV + combine + Re-dot (one pass; same accumulation order as
-    // the unfused sequence, so results are unchanged bit-for-bit).
-    mu_sum[k] += linalg::spmv_combine_dot_re(h, prev, prev2, r0, next);
-    std::swap(prev2, prev);
-    std::swap(prev, next);
-  }
-}
-
 /// Blocked complex multiply y_j = H x_j on the interleaved block layout
 /// (one matrix stream for the whole group); per-member accumulation order
 /// matches CrsMatrixZ::multiply.  Meters b products over one stream.
@@ -93,14 +47,15 @@ void spmmv_z(const linalg::CrsMatrixZ& h, std::size_t b, std::span<const Complex
 }
 
 /// Runs a group of `b` instances' complex recursions in one blocked pass,
-/// adding member j's Re<r0_j|r_n_j> into mu_rows[j*n, j*n + n).  Each
-/// member's arithmetic matches hermitian_instance bit-for-bit.
+/// adding member j's Re<r0_j|r_n_j> into mu_rows[j*n, j*n + n).  B = 1 is
+/// a one-member group; each member's arithmetic is the per-vector complex
+/// recursion's, so results do not depend on b.
 void hermitian_group(const linalg::CrsMatrixZ& h, std::size_t b, std::span<const Complex> r0,
                      std::vector<Complex>& prev2, std::vector<Complex>& prev,
                      std::vector<Complex>& next, std::size_t n, std::span<double> mu_rows) {
   const std::size_t d = h.rows();
   const double dd = static_cast<double>(d);
-  // Per-member single-lane left fold, matching hermitian_instance's dot_re.
+  // Per-member single-lane left fold, matching spmmv_combine_dot_re.
   auto block_dot_re = [&](std::span<const Complex> v, std::size_t j) {
     double acc = 0.0;
     for (std::size_t i = 0; i < d; ++i)
@@ -138,6 +93,36 @@ void hermitian_group(const linalg::CrsMatrixZ& h, std::size_t b, std::span<const
   }
 }
 
+/// Runs `count` recursions in groups of `block`, `start(first, b, r0)`
+/// writing each group's interleaved start vectors, and returns the member
+/// rows summed in instance order.
+template <typename Start>
+std::vector<double> sum_hermitian_groups(const linalg::CrsMatrixZ& h, std::size_t count,
+                                         std::size_t block, std::size_t n, Start&& start) {
+  const std::size_t d = h.rows();
+  std::vector<Complex> r0(d * block), prev2(d * block), prev(d * block), next(d * block);
+  std::vector<double> rows(block * n), mu(n, 0.0);
+  for (std::size_t first = 0; first < count; first += block) {
+    const std::size_t b = std::min(block, count - first);
+    const std::span<Complex> r0_group(r0.data(), d * b);
+    start(first, b, r0_group);
+    std::fill(rows.begin(), rows.end(), 0.0);
+    hermitian_group(h, b, r0_group, prev2, prev, next, n, rows);
+    for (std::size_t j = 0; j < b; ++j) {
+      const double* row = rows.data() + j * n;
+      for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];
+    }
+  }
+  return mu;
+}
+
+/// Unit basis vectors: member j of the group starting at `first` is
+/// |first + j>.
+void unit_start(std::size_t first, std::size_t b, std::span<Complex> r0) {
+  std::fill(r0.begin(), r0.end(), Complex{0.0, 0.0});
+  for (std::size_t j = 0; j < b; ++j) r0[(first + j) * b + j] = Complex{1.0, 0.0};
+}
+
 }  // namespace
 
 MomentResult HermitianMomentEngine::compute(const linalg::CrsMatrixZ& h_tilde,
@@ -153,41 +138,17 @@ MomentResult HermitianMomentEngine::compute(const linalg::CrsMatrixZ& h_tilde,
   obs::ScopedSpan span("moments." + name());
   obs::add(obs::Counter::MomentsProduced, static_cast<double>(n));
   Stopwatch wall;
-  std::vector<double> mu_sum(n, 0.0);
-  const std::size_t block = params.block_r;
-
-  if (block <= 1) {
-    std::vector<Complex> r0(d), prev2(d), prev(d), next(d);
-    for (std::size_t inst = 0; inst < executed; ++inst) {
-      obs::add(obs::Counter::RngElements, static_cast<double>(d));
-      for (std::size_t i = 0; i < d; ++i)
-        r0[i] = Complex{
-            rng::draw_random_element(params.vector_kind, params.seed, inst, i), 0.0};
-      hermitian_instance(h_tilde, r0, prev2, prev, next, mu_sum);
-    }
-  } else {
-    // Blocked path: groups of `block` instances share each matrix stream;
-    // member rows are summed in instance order (bit-identical to serial).
-    std::vector<Complex> r0(d * block), prev2(d * block), prev(d * block), next(d * block);
-    std::vector<double> rows(block * n);
-    const std::size_t groups = (executed + block - 1) / block;
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t first = g * block;
-      const std::size_t b = std::min(block, executed - first);
-      obs::add(obs::Counter::RngElements, static_cast<double>(d * b));
-      for (std::size_t j = 0; j < b; ++j)
-        for (std::size_t i = 0; i < d; ++i)
-          r0[i * b + j] = Complex{
-              rng::draw_random_element(params.vector_kind, params.seed, first + j, i), 0.0};
-      std::fill(rows.begin(), rows.end(), 0.0);
-      hermitian_group(h_tilde, b, std::span<const Complex>(r0.data(), d * b), prev2, prev,
-                      next, n, rows);
-      for (std::size_t j = 0; j < b; ++j) {
-        const double* row = rows.data() + j * n;
-        for (std::size_t k = 0; k < n; ++k) mu_sum[k] += row[k];
-      }
-    }
-  }
+  // Groups of `block` instances share each matrix stream; member rows are
+  // summed in instance order (bit-identical for any block size).
+  const std::vector<double> mu_sum = sum_hermitian_groups(
+      h_tilde, executed, params.block_r, n,
+      [&](std::size_t first, std::size_t b, std::span<Complex> r0) {
+        obs::add(obs::Counter::RngElements, static_cast<double>(d * b));
+        for (std::size_t j = 0; j < b; ++j)
+          for (std::size_t i = 0; i < d; ++i)
+            r0[i * b + j] = Complex{
+                rng::draw_random_element(params.vector_kind, params.seed, first + j, i), 0.0};
+      });
 
   MomentResult result;
   result.engine = name();
@@ -209,12 +170,10 @@ std::vector<double> ldos_moments_hermitian(const linalg::CrsMatrixZ& h_tilde, st
   KPM_REQUIRE(h_tilde.rows() == h_tilde.cols(), "ldos_moments_hermitian: matrix must be square");
   KPM_REQUIRE(site < h_tilde.rows(), "ldos_moments_hermitian: site out of range");
   KPM_REQUIRE(num_moments >= 1, "ldos_moments_hermitian: need at least one moment");
-  const std::size_t d = h_tilde.rows();
-  std::vector<double> mu(num_moments, 0.0);
-  std::vector<Complex> e(d, Complex{0.0, 0.0}), prev2(d), prev(d), next(d);
-  e[site] = Complex{1.0, 0.0};
-  hermitian_instance(h_tilde, e, prev2, prev, next, mu);
-  return mu;
+  return sum_hermitian_groups(h_tilde, 1, 1, num_moments,
+                              [site](std::size_t, std::size_t, std::span<Complex> r0) {
+                                unit_start(site, 1, r0);
+                              });
 }
 
 std::vector<double> deterministic_trace_moments_hermitian(const linalg::CrsMatrixZ& h_tilde,
@@ -223,34 +182,9 @@ std::vector<double> deterministic_trace_moments_hermitian(const linalg::CrsMatri
   KPM_REQUIRE(num_moments >= 1, "deterministic_trace_moments_hermitian: need >= 1 moment");
   KPM_REQUIRE(h_tilde.rows() == h_tilde.cols(), "matrix must be square");
   KPM_REQUIRE(block >= 1, "deterministic_trace_moments_hermitian: block must be >= 1");
+  // Blocked basis sweep: `block` unit vectors share each matrix stream.
   const std::size_t d = h_tilde.rows();
-  const std::size_t n = num_moments;
-  std::vector<double> mu(n, 0.0);
-  if (block <= 1) {
-    std::vector<Complex> e(d), prev2(d), prev(d), next(d);
-    for (std::size_t site = 0; site < d; ++site) {
-      std::fill(e.begin(), e.end(), Complex{0.0, 0.0});
-      e[site] = Complex{1.0, 0.0};
-      hermitian_instance(h_tilde, e, prev2, prev, next, mu);
-    }
-  } else {
-    // Blocked basis sweep: `block` unit vectors share each matrix stream.
-    std::vector<Complex> e(d * block), prev2(d * block), prev(d * block), next(d * block);
-    std::vector<double> rows(block * n);
-    for (std::size_t first = 0; first < d; first += block) {
-      const std::size_t b = std::min(block, d - first);
-      std::fill(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(d * b),
-                Complex{0.0, 0.0});
-      for (std::size_t j = 0; j < b; ++j) e[(first + j) * b + j] = Complex{1.0, 0.0};
-      std::fill(rows.begin(), rows.end(), 0.0);
-      hermitian_group(h_tilde, b, std::span<const Complex>(e.data(), d * b), prev2, prev,
-                      next, n, rows);
-      for (std::size_t j = 0; j < b; ++j) {
-        const double* row = rows.data() + j * n;
-        for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];
-      }
-    }
-  }
+  std::vector<double> mu = sum_hermitian_groups(h_tilde, d, block, num_moments, unit_start);
   for (double& m : mu) m /= static_cast<double>(d);
   return mu;
 }

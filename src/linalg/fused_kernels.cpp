@@ -17,7 +17,7 @@ namespace {
 // measured counters against the roofline prediction.  SpmvCalls/DotCalls
 // count logical per-member products; FusedCalls counts passes.
 void meter_fused(std::size_t spmv_flops, std::size_t matrix_bytes, std::size_t dim,
-                 std::size_t dots, double element_bytes, std::size_t block = 1) {
+                 std::size_t dots, double element_bytes, std::size_t block) {
   if (obs::active_counters() == nullptr) return;
   const double d = static_cast<double>(dim);
   const double b = static_cast<double>(block);
@@ -304,8 +304,7 @@ void block_dot_sweep(std::size_t dim, Members<W> m, const double* x, const doubl
 }
 
 // ---------------------------------------------------------------------------
-// Checked, metered passes shared by every storage and by the single-vector
-// API (block = 1).  `what` names the public entry point in error messages;
+// Checked, metered passes shared by every storage.  `what` names the public entry point in error messages;
 // the message string is only built when a check fails.
 
 template <typename Matrix>
@@ -353,25 +352,6 @@ void combine_dot2_pass(const char* what, const Matrix& a, std::size_t block,
   });
 }
 
-template <typename Matrix>
-double single_combine_dot(const Matrix& a, std::span<const double> r_prev,
-                          std::span<const double> r_prev2, std::span<const double> r0,
-                          std::span<double> r_next) {
-  double mu = 0.0;
-  combine_dot_pass("spmv_combine_dot", a, 1, r_prev, r_prev2, r0, r_next,
-                   std::span<double>(&mu, 1));
-  return mu;
-}
-
-template <typename Matrix>
-PairedDots single_combine_dot2(const Matrix& a, std::span<const double> r_prev,
-                               std::span<const double> r_prev2, std::span<double> r_next) {
-  PairedDots dots;
-  combine_dot2_pass("spmv_combine_dot2", a, 1, r_prev, r_prev2, r_next,
-                    std::span<PairedDots>(&dots, 1));
-  return dots;
-}
-
 /// Calls `f` with the operator's concrete storage.
 template <typename F>
 decltype(auto) with_storage(const MatrixOperator& op, F&& f) {
@@ -381,99 +361,6 @@ decltype(auto) with_storage(const MatrixOperator& op, F&& f) {
 }
 
 }  // namespace
-
-double spmv_combine_dot(const CrsMatrix& a, std::span<const double> r_prev,
-                        std::span<const double> r_prev2, std::span<const double> r0,
-                        std::span<double> r_next) {
-  return single_combine_dot(a, r_prev, r_prev2, r0, r_next);
-}
-
-double spmv_combine_dot(const DenseMatrix& a, std::span<const double> r_prev,
-                        std::span<const double> r_prev2, std::span<const double> r0,
-                        std::span<double> r_next) {
-  return single_combine_dot(a, r_prev, r_prev2, r0, r_next);
-}
-
-double spmv_combine_dot(const SellMatrix& a, std::span<const double> r_prev,
-                        std::span<const double> r_prev2, std::span<const double> r0,
-                        std::span<double> r_next) {
-  return single_combine_dot(a, r_prev, r_prev2, r0, r_next);
-}
-
-double spmv_combine_dot(const MatrixOperator& op, std::span<const double> r_prev,
-                        std::span<const double> r_prev2, std::span<const double> r0,
-                        std::span<double> r_next) {
-  return with_storage(
-      op, [&](const auto& a) { return single_combine_dot(a, r_prev, r_prev2, r0, r_next); });
-}
-
-PairedDots spmv_combine_dot2(const CrsMatrix& a, std::span<const double> r_prev,
-                             std::span<const double> r_prev2, std::span<double> r_next) {
-  return single_combine_dot2(a, r_prev, r_prev2, r_next);
-}
-
-PairedDots spmv_combine_dot2(const DenseMatrix& a, std::span<const double> r_prev,
-                             std::span<const double> r_prev2, std::span<double> r_next) {
-  return single_combine_dot2(a, r_prev, r_prev2, r_next);
-}
-
-PairedDots spmv_combine_dot2(const SellMatrix& a, std::span<const double> r_prev,
-                             std::span<const double> r_prev2, std::span<double> r_next) {
-  return single_combine_dot2(a, r_prev, r_prev2, r_next);
-}
-
-PairedDots spmv_combine_dot2(const MatrixOperator& op, std::span<const double> r_prev,
-                             std::span<const double> r_prev2, std::span<double> r_next) {
-  return with_storage(
-      op, [&](const auto& a) { return single_combine_dot2(a, r_prev, r_prev2, r_next); });
-}
-
-double spmv_combine_dot_re(const CrsMatrixZ& a, std::span<const std::complex<double>> r_prev,
-                           std::span<const std::complex<double>> r_prev2,
-                           std::span<const std::complex<double>> r0,
-                           std::span<std::complex<double>> r_next) {
-  KPM_REQUIRE(a.rows() == a.cols(), "spmv_combine_dot_re: matrix must be square");
-  KPM_REQUIRE(r_prev.size() == a.cols() && r_prev2.size() == a.rows() &&
-                  r0.size() == a.rows() && r_next.size() == a.rows(),
-              "spmv_combine_dot_re: vector size mismatch");
-  KPM_REQUIRE(r_next.data() != r_prev.data() && r_next.data() != r_prev2.data() &&
-                  r_next.data() != r0.data(),
-              "spmv_combine_dot_re: r_next must not alias an input");
-  if (obs::active_counters() != nullptr) {
-    // Complex SpMV: 8 flops per stored entry; combine and the real-part dot
-    // contribute 4 flops per element each.  Vector traffic is four complex
-    // vectors (r_prev, r_prev2, r0 reads + r_next write).
-    const double d = static_cast<double>(a.rows());
-    const double matrix_bytes = static_cast<double>(
-        a.nnz() * (sizeof(std::complex<double>) + sizeof(CrsMatrixZ::Index)) +
-        (a.rows() + 1) * sizeof(CrsMatrixZ::Index));
-    const double bytes = matrix_bytes + 4.0 * d * sizeof(std::complex<double>);
-    obs::add(obs::Counter::SpmvCalls, 1.0);
-    obs::add(obs::Counter::DotCalls, 1.0);
-    obs::add(obs::Counter::FusedCalls, 1.0);
-    obs::add(obs::Counter::Flops, 8.0 * static_cast<double>(a.nnz()) + 8.0 * d);
-    obs::add(obs::Counter::BytesStreamed, bytes);
-    obs::add(obs::Counter::FusedBytes, bytes);
-  }
-
-  const auto row_ptr = a.row_ptr();
-  const auto col_idx = a.col_idx();
-  const auto values = a.values();
-  const std::size_t rows = a.rows();
-
-  double dot_re = 0.0;  // single-lane left fold, matching the pre-fusion path
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::complex<double> acc{0.0, 0.0};  // same order as CrsMatrixZ::multiply
-    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      acc += values[kk] * r_prev[static_cast<std::size_t>(col_idx[kk])];
-    }
-    const std::complex<double> next = 2.0 * acc - r_prev2[r];
-    r_next[r] = next;
-    dot_re += (std::conj(r0[r]) * next).real();
-  }
-  return dot_re;
-}
 
 // ---------------------------------------------------------------------------
 // Vector-block (SpMMV) kernels.
@@ -577,7 +464,10 @@ void spmmv_combine_dot_re(const CrsMatrixZ& a, std::size_t block,
                   r_next.data() != r0.data(),
               "spmmv_combine_dot_re: r_next must not alias an input");
   if (obs::active_counters() != nullptr) {
-    // Per-member model matches spmv_combine_dot_re; the matrix streams once.
+    // Complex SpMV: 8 flops per stored entry; combine and the real-part dot
+    // contribute 4 flops per element each.  Vector traffic per member is
+    // four complex vectors (r_prev, r_prev2, r0 reads + r_next write); the
+    // matrix streams once.
     const double d = static_cast<double>(a.rows());
     const double b = static_cast<double>(block);
     const double matrix_bytes = static_cast<double>(
@@ -598,7 +488,8 @@ void spmmv_combine_dot_re(const CrsMatrixZ& a, std::size_t block,
   const std::size_t rows = a.rows();
 
   std::vector<std::complex<double>> acc(block);
-  // Per member: single-lane left fold, matching spmv_combine_dot_re.
+  // Per member: single-lane left fold; per-row accumulation in the same
+  // order as CrsMatrixZ::multiply.
   std::fill(dots.begin(), dots.end(), 0.0);
   for (std::size_t r = 0; r < rows; ++r) {
     std::fill(acc.begin(), acc.end(), std::complex<double>{0.0, 0.0});

@@ -24,8 +24,8 @@
 // of member j lives at x[i*B + j], so the inner member loop reads
 // unit-stride memory at every gathered row.  Every member's accumulation
 // (per-row entry order AND dot lane order, with the member's own 4 lanes)
-// is identical to the corresponding single-vector kernel, so blocked
-// results are bit-identical to B per-vector passes.  SELL-C-sigma operators
+// is that of the unfused per-vector sequence, so blocked results are
+// bit-identical to B per-vector passes.  SELL-C-sigma operators
 // traverse rows in LOGICAL order through `slot_of()`, with per-row entry
 // order matching CRS, so SELL results are bit-identical to CRS too.
 //
@@ -36,8 +36,9 @@
 // fixed-size locals (acc[B], lanes[4][B]) that stay in registers and L1.
 // Any other width runs one generic instantiation that covers up to 64
 // members per matrix pass with the same fixed-size locals (wider blocks
-// take one pass per 64 members).  No call allocates.  The single-vector
-// spmv_combine_dot* kernels are the B = 1 instantiation.
+// take one pass per 64 members).  No call allocates.  There is no separate
+// single-vector API: one vector is a block of B = 1, and the host engines
+// run the per-vector recursion as a one-member group of the blocked one.
 #pragma once
 
 #include <complex>
@@ -52,56 +53,11 @@
 
 namespace kpm::linalg {
 
-/// r_next = 2 * A * r_prev - r_prev2; returns <r0 | r_next>.
-/// Preconditions: all spans have length A.rows() == A.cols(); r_next must
-/// not alias r_prev, r_prev2 or r0 (the SpMV gathers r_prev while r_next is
-/// written, and the dot reads r0 against freshly written rows).
-[[nodiscard]] double spmv_combine_dot(const CrsMatrix& a, std::span<const double> r_prev,
-                                      std::span<const double> r_prev2, std::span<const double> r0,
-                                      std::span<double> r_next);
-[[nodiscard]] double spmv_combine_dot(const DenseMatrix& a, std::span<const double> r_prev,
-                                      std::span<const double> r_prev2, std::span<const double> r0,
-                                      std::span<double> r_next);
-[[nodiscard]] double spmv_combine_dot(const SellMatrix& a, std::span<const double> r_prev,
-                                      std::span<const double> r_prev2, std::span<const double> r0,
-                                      std::span<double> r_next);
-/// Storage-dispatching overload for engine code.
-[[nodiscard]] double spmv_combine_dot(const MatrixOperator& op, std::span<const double> r_prev,
-                                      std::span<const double> r_prev2, std::span<const double> r0,
-                                      std::span<double> r_next);
-
 /// Both dot products the paired-moment recursion needs from one pass.
 struct PairedDots {
   double next_prev = 0.0;  ///< <r_next | r_prev>  (feeds mu~_{2k+1})
   double prev_prev = 0.0;  ///< <r_prev | r_prev>  (feeds mu~_{2k})
 };
-
-/// r_next = 2 * A * r_prev - r_prev2; returns <r_next|r_prev> and
-/// <r_prev|r_prev> computed in the same pass.  Same alias preconditions as
-/// spmv_combine_dot.
-[[nodiscard]] PairedDots spmv_combine_dot2(const CrsMatrix& a, std::span<const double> r_prev,
-                                           std::span<const double> r_prev2,
-                                           std::span<double> r_next);
-[[nodiscard]] PairedDots spmv_combine_dot2(const DenseMatrix& a, std::span<const double> r_prev,
-                                           std::span<const double> r_prev2,
-                                           std::span<double> r_next);
-[[nodiscard]] PairedDots spmv_combine_dot2(const SellMatrix& a, std::span<const double> r_prev,
-                                           std::span<const double> r_prev2,
-                                           std::span<double> r_next);
-[[nodiscard]] PairedDots spmv_combine_dot2(const MatrixOperator& op,
-                                           std::span<const double> r_prev,
-                                           std::span<const double> r_prev2,
-                                           std::span<double> r_next);
-
-/// Complex-Hermitian variant: r_next = 2 * A * r_prev - r_prev2; returns
-/// Re<r0 | r_next> = sum_r Re(conj(r0[r]) * r_next[r]).  Accumulates the
-/// dot left-to-right (single lane), matching the pre-fusion Hermitian
-/// moment path bit-for-bit.  Same alias preconditions as spmv_combine_dot.
-[[nodiscard]] double spmv_combine_dot_re(const CrsMatrixZ& a,
-                                         std::span<const std::complex<double>> r_prev,
-                                         std::span<const std::complex<double>> r_prev2,
-                                         std::span<const std::complex<double>> r0,
-                                         std::span<std::complex<double>> r_next);
 
 // ---------------------------------------------------------------------------
 // Vector-block (SpMMV) kernels.  `block` is B >= 1; block spans hold
@@ -129,9 +85,11 @@ void spmmv_multiply(const MatrixOperator& op, std::size_t block, std::span<const
                     std::span<double> y);
 
 /// r_next_j = 2 * A * r_prev_j - r_prev2_j and dots[j] = <r0_j | r_next_j>
-/// for all B members in one matrix pass.  Same alias preconditions as
-/// spmv_combine_dot; member j's outputs are bit-identical to the
-/// single-vector kernel on its deinterleaved vectors.
+/// for all B members in one matrix pass.  Preconditions: r_next must not
+/// alias r_prev, r_prev2 or r0 (the SpMV gathers r_prev while r_next is
+/// written, and the dot reads r0 against freshly written rows).  Member j's
+/// outputs are bit-identical to the unfused multiply + chebyshev_combine +
+/// dot sequence on its deinterleaved vectors.
 void spmmv_combine_dot(const CrsMatrix& a, std::size_t block, std::span<const double> r_prev,
                        std::span<const double> r_prev2, std::span<const double> r0,
                        std::span<double> r_next, std::span<double> dots);
@@ -147,7 +105,9 @@ void spmmv_combine_dot(const MatrixOperator& op, std::size_t block,
                        std::span<double> dots);
 
 /// Blocked paired-moment pass: r_next_j = 2 * A * r_prev_j - r_prev2_j with
-/// dots[j] = {<r_next_j|r_prev_j>, <r_prev_j|r_prev_j>} per member.
+/// dots[j] = {<r_next_j|r_prev_j>, <r_prev_j|r_prev_j>} per member, both
+/// computed in the same pass.  Same alias preconditions as
+/// spmmv_combine_dot.
 void spmmv_combine_dot2(const CrsMatrix& a, std::size_t block, std::span<const double> r_prev,
                         std::span<const double> r_prev2, std::span<double> r_next,
                         std::span<PairedDots> dots);
@@ -161,8 +121,10 @@ void spmmv_combine_dot2(const MatrixOperator& op, std::size_t block,
                         std::span<const double> r_prev, std::span<const double> r_prev2,
                         std::span<double> r_next, std::span<PairedDots> dots);
 
-/// Blocked complex-Hermitian pass: per member, dots[j] = Re<r0_j|r_next_j>
-/// accumulated as a single-lane left fold (matching spmv_combine_dot_re).
+/// Complex-Hermitian pass: r_next_j = 2 * A * r_prev_j - r_prev2_j and, per
+/// member, dots[j] = Re<r0_j|r_next_j> = sum_r Re(conj(r0_j[r]) *
+/// r_next_j[r]), accumulated as a single-lane left fold.  Same alias
+/// preconditions as spmmv_combine_dot.
 void spmmv_combine_dot_re(const CrsMatrixZ& a, std::size_t block,
                           std::span<const std::complex<double>> r_prev,
                           std::span<const std::complex<double>> r_prev2,

@@ -66,6 +66,23 @@ class Parser {
     }
   }
 
+  /// RAII: one level of array/object nesting, bounded by kMaxJsonDepth.
+  class Nesting {
+   public:
+    explicit Nesting(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxJsonDepth)
+        throw JsonDepthError("kpm error: JSON parse error at offset " +
+                             std::to_string(parser_.pos_) + ": nesting deeper than " +
+                             std::to_string(kMaxJsonDepth) + " levels");
+    }
+    ~Nesting() { --parser_.depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   bool consume_literal(std::string_view literal) {
     if (text_.substr(pos_, literal.size()) != literal) return false;
     pos_ += literal.size();
@@ -190,6 +207,7 @@ class Parser {
   }
 
   JsonValue parse_array() {
+    const Nesting nesting(*this);
     expect('[');
     JsonValue value;
     value.kind = JsonValue::Kind::Array;
@@ -208,6 +226,7 @@ class Parser {
   }
 
   JsonValue parse_object() {
+    const Nesting nesting(*this);
     expect('{');
     JsonValue value;
     value.kind = JsonValue::Kind::Object;
@@ -231,6 +250,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects
 };
 
 }  // namespace

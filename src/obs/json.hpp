@@ -12,7 +12,20 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace kpm::obs {
+
+/// Deepest array/object nesting parse_json accepts.  The documents this
+/// library writes nest a few levels; the bound keeps the recursive-descent
+/// parser's stack use small on hostile input.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
+/// Thrown by parse_json when arrays/objects nest deeper than kMaxJsonDepth.
+class JsonDepthError : public Error {
+ public:
+  using Error::Error;
+};
 
 /// A parsed JSON value (tagged union of the six JSON kinds).
 class JsonValue {
@@ -34,7 +47,8 @@ class JsonValue {
 };
 
 /// Parses a complete JSON document.  Throws kpm::Error on malformed input
-/// or trailing garbage.
+/// or trailing garbage, and JsonDepthError (a kpm::Error) when the nesting
+/// is deeper than kMaxJsonDepth.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 /// Escapes `text` for embedding inside a JSON string literal (no quotes).

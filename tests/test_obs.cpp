@@ -299,6 +299,27 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW((void)obs::parse_json("nul"), kpm::Error);
 }
 
+TEST(Json, NestingDepthIsBounded) {
+  // Exactly the limit parses, for arrays and objects alike.
+  const std::size_t max = obs::kMaxJsonDepth;
+  EXPECT_NO_THROW((void)obs::parse_json(std::string(max, '[') + std::string(max, ']')));
+  std::string objects;
+  for (std::size_t i = 0; i < max; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(max, '}');
+  EXPECT_NO_THROW((void)obs::parse_json(objects));
+  // One level deeper is a typed error, also for unterminated documents far
+  // deeper than any stack could recurse.
+  EXPECT_THROW((void)obs::parse_json(std::string(max + 1, '[') + std::string(max + 1, ']')),
+               obs::JsonDepthError);
+  EXPECT_THROW((void)obs::parse_json("{\"a\":" + objects + "}"), obs::JsonDepthError);
+  try {
+    (void)obs::parse_json(std::string(200000, '['));
+    FAIL() << "a 200000-deep document must not parse";
+  } catch (const obs::JsonDepthError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Json, NumbersRoundTripExactly) {
   for (double v : {0.0, 1.0, -3.5, 9007199254740992.0 /* 2^53 */, 0.1, 1e300}) {
     EXPECT_EQ(obs::parse_json(obs::json_number(v)).number, v) << v;

@@ -136,12 +136,11 @@ TEST(SpmmvKernels, CombineDotMatchesPerVectorBitwise) {
       }
     const auto prev_b = interleave(prevs), prev2_b = interleave(prev2s), r0_b = interleave(r0s);
     for (const MatrixOperator& op : {MatrixOperator(crs), MatrixOperator(sell)}) {
-      std::vector<double> next_b(d * b), dots(b), expect_next(d);
+      std::vector<double> next_b(d * b), dots(b), expect_next(d), mu(1);
       kpm::linalg::spmmv_combine_dot(op, b, prev_b, prev2_b, r0_b, next_b, dots);
       for (std::size_t j = 0; j < b; ++j) {
-        const double mu =
-            kpm::linalg::spmv_combine_dot(op, prevs[j], prev2s[j], r0s[j], expect_next);
-        EXPECT_EQ(dots[j], mu) << "B=" << b << " member " << j;
+        kpm::linalg::spmmv_combine_dot(op, 1, prevs[j], prev2s[j], r0s[j], expect_next, mu);
+        EXPECT_EQ(dots[j], mu[0]) << "B=" << b << " member " << j;
         for (std::size_t i = 0; i < d; ++i) EXPECT_EQ(next_b[i * b + j], expect_next[i]);
       }
     }
@@ -162,12 +161,12 @@ TEST(SpmmvKernels, CombineDot2MatchesPerVectorBitwise) {
   const auto prev_b = interleave(prevs), prev2_b = interleave(prev2s);
   for (const MatrixOperator& op : {MatrixOperator(crs), MatrixOperator(sell)}) {
     std::vector<double> next_b(d * b), expect_next(d);
-    std::vector<kpm::linalg::PairedDots> dots(b);
+    std::vector<kpm::linalg::PairedDots> dots(b), expect(1);
     kpm::linalg::spmmv_combine_dot2(op, b, prev_b, prev2_b, next_b, dots);
     for (std::size_t j = 0; j < b; ++j) {
-      const auto expect = kpm::linalg::spmv_combine_dot2(op, prevs[j], prev2s[j], expect_next);
-      EXPECT_EQ(dots[j].next_prev, expect.next_prev) << "member " << j;
-      EXPECT_EQ(dots[j].prev_prev, expect.prev_prev) << "member " << j;
+      kpm::linalg::spmmv_combine_dot2(op, 1, prevs[j], prev2s[j], expect_next, expect);
+      EXPECT_EQ(dots[j].next_prev, expect[0].next_prev) << "member " << j;
+      EXPECT_EQ(dots[j].prev_prev, expect[0].prev_prev) << "member " << j;
       for (std::size_t i = 0; i < d; ++i) EXPECT_EQ(next_b[i * b + j], expect_next[i]);
     }
   }
@@ -246,12 +245,11 @@ TEST(SpmmvKernels, ComplexCombineDotReMatchesPerVectorBitwise) {
       prev2_b[i * b + j] = prev2s[j][i];
       r0_b[i * b + j] = r0s[j][i];
     }
-  std::vector<double> dots(b);
+  std::vector<double> dots(b), mu(1);
   kpm::linalg::spmmv_combine_dot_re(ht, b, prev_b, prev2_b, r0_b, next_b, dots);
   for (std::size_t j = 0; j < b; ++j) {
-    const double mu =
-        kpm::linalg::spmv_combine_dot_re(ht, prevs[j], prev2s[j], r0s[j], expect_next);
-    EXPECT_EQ(dots[j], mu) << "member " << j;
+    kpm::linalg::spmmv_combine_dot_re(ht, 1, prevs[j], prev2s[j], r0s[j], expect_next, mu);
+    EXPECT_EQ(dots[j], mu[0]) << "member " << j;
     for (std::size_t i = 0; i < d; ++i) EXPECT_EQ(next_b[i * b + j], expect_next[i]);
   }
 }

@@ -13,6 +13,7 @@
 // Every subcommand prints a table and (where meaningful) writes a CSV.
 // Lattices: chain, square, cubic, honeycomb; optional Anderson disorder.
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -873,7 +874,15 @@ std::vector<std::size_t> parse_size_list(const std::string& text, const char* wh
     const std::string token =
         text.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
     KPM_REQUIRE(!token.empty(), std::string("kpmcli: empty entry in --") + what);
-    out.push_back(static_cast<std::size_t>(std::stoull(token)));
+    // Digits only: std::stoull would wrap a leading '-' and skip spaces.
+    const bool digits = std::all_of(token.begin(), token.end(),
+                                    [](unsigned char c) { return std::isdigit(c) != 0; });
+    const std::string bad = std::string("kpmcli: --") + what +
+                            " entries must be positive integers (got '" + token + "')";
+    KPM_REQUIRE(digits && token.size() <= 19, bad);  // 19 digits never overflow 64 bits
+    const auto value = static_cast<std::size_t>(std::stoull(token));
+    KPM_REQUIRE(value > 0, bad);
+    out.push_back(value);
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
