@@ -1,7 +1,7 @@
 #!/bin/sh
 # ctest driver for the bench-baseline regression gate.
 #
-# Runs the six quick CI benches into a scratch directory, then exercises
+# Runs the eight quick CI benches into a scratch directory, then exercises
 # benchgate three ways against the checked-in BENCH_BASELINE.json:
 #   1. clean pass  — counters must match the baseline exactly (wall advisory),
 #   2. seeded drift — a perturbed spmv_calls counter must trip exit code 1,
@@ -10,6 +10,7 @@
 #
 # usage: benchgate_test.sh <ablation_haydock> <ablation_chunking> <bench_serve> \
 #                          <ablation_spmmv> <ablation_cluster> <bench_fleet> \
+#                          <ablation_moment_pairs> <ablation_multigpu> \
 #                          <benchgate> <baseline.json>
 set -e
 haydock=$1
@@ -18,8 +19,10 @@ serve=$3
 spmmv=$4
 cluster=$5
 fleet=$6
-benchgate=$7
-baseline=$8
+pairs=$7
+multigpu=$8
+benchgate=$9
+baseline=${10}
 
 scratch="$(pwd)/gate_scratch"
 rm -rf "$scratch"
@@ -32,6 +35,8 @@ cd "$scratch"
 "$spmmv" --edge=6 --N=64 --R=8 > /dev/null
 "$cluster" --edge=4 --planes=2 --nodes-max=8 --N=32 --R=4 --S=2 > /dev/null
 "$fleet" --edge=6 --requests=16 > /dev/null
+"$pairs" --edge=6 --R=4 --S=8 --sample=4 > /dev/null
+"$multigpu" --N=64 --R=4 --S=8 --sample=4 > /dev/null
 
 "$benchgate" --baseline="$baseline" --wall-advisory results/*.metrics.json
 

@@ -69,12 +69,7 @@ class ConductivityBlockKernel final : public gpusim::Kernel {
     a_.multiply(r0, phi);
     std::copy(phi.begin(), phi.end(), beta_row(0).begin());
     if (n > 1) h_.multiply(beta_row(0), beta_row(1));
-    for (std::size_t m = 2; m < n; ++m) {
-      h_.multiply(beta_row(m - 1), beta_row(m));
-      auto bm = beta_row(m);
-      const auto bm2 = beta_row(m - 2);
-      for (std::size_t i = 0; i < d; ++i) bm[i] = 2.0 * bm[i] - bm2[i];
-    }
+    for (std::size_t m = 2; m < n; ++m) h_.step(beta_row(m - 1), beta_row(m - 2), beta_row(m));
 
     auto w = phi;  // scratch for A psi_n
     auto accumulate_row = [&](std::size_t row, std::span<const double> psi) {
@@ -95,8 +90,7 @@ class ConductivityBlockKernel final : public gpusim::Kernel {
       accumulate_row(1, psi_prev);
     }
     for (std::size_t k = 2; k < n; ++k) {
-      h_.multiply(psi_prev, psi_next);
-      for (std::size_t i = 0; i < d; ++i) psi_next[i] = 2.0 * psi_next[i] - psi_prev2[i];
+      h_.step(psi_prev, psi_prev2, psi_next);
       accumulate_row(k, psi_next);
       std::swap(psi_prev2, psi_prev);
       std::swap(psi_prev, psi_next);
@@ -155,52 +149,11 @@ class ConductivityBlockKernel final : public gpusim::Kernel {
   gpusim::DeviceBuffer<double>* mu_partial_;
 };
 
-/// Averages the per-instance moment matrices: one thread per (n, m) entry.
-/// Meters against the full instance count (launch unscaled), like
-/// AverageMomentsKernel.
-class AverageConductivityKernel final : public gpusim::Kernel {
- public:
-  AverageConductivityKernel(std::size_t n, std::size_t dim, std::size_t active,
-                            std::size_t modeled, const gpusim::DeviceBuffer<double>& mu_partial,
-                            gpusim::DeviceBuffer<double>& mu)
-      : n_(n), dim_(dim), active_(active), modeled_(modeled), mu_partial_(&mu_partial),
-        mu_(&mu) {}
-
-  [[nodiscard]] const char* name() const override { return "kpm_conductivity_average"; }
-
-  void thread_phase(int /*phase*/, gpusim::ThreadContext& thread) override {
-    const std::size_t entry = thread.global_tid();
-    const std::size_t total_entries = n_ * n_;
-    if (entry >= total_entries) return;
-
-    const auto src = mu_partial_->raw();
-    double acc = 0.0;
-    for (std::size_t k = 0; k < active_; ++k) acc += src[k * total_entries + entry];
-    mu_->raw()[entry] = acc / (static_cast<double>(dim_) * static_cast<double>(active_));
-
-    auto& c = thread.block().counters();
-    c.global_read_bytes[static_cast<std::size_t>(AccessPattern::Strided)] +=
-        static_cast<double>(modeled_) * sizeof(double);
-    c.global_write_bytes[static_cast<std::size_t>(AccessPattern::Coalesced)] += sizeof(double);
-    c.flops += static_cast<double>(modeled_) + 1.0;
-  }
-
- private:
-  std::size_t n_;
-  std::size_t dim_;
-  std::size_t active_;
-  std::size_t modeled_;
-  const gpusim::DeviceBuffer<double>* mu_partial_;
-  gpusim::DeviceBuffer<double>* mu_;
-};
-
 }  // namespace
 
 GpuConductivityEngine::GpuConductivityEngine(GpuEngineConfig config)
     : config_(std::move(config)) {
-  config_.device.validate();
-  KPM_REQUIRE(config_.block_size > 0 && config_.block_size % 32 == 0,
-              "GpuConductivityEngine: block_size must be a positive multiple of the warp size");
+  config_.validate();
 }
 
 ConductivityMoments GpuConductivityEngine::compute(const linalg::MatrixOperator& h_tilde,
@@ -226,28 +179,22 @@ ConductivityMoments GpuConductivityEngine::compute(const linalg::MatrixOperator&
   auto mu_partial = device.alloc<double>(total * n * n, "mu~ matrices");
   auto mu_dev = device.alloc<double>(n * n, "mu matrix");
 
-  gpusim::ExecConfig cfg;
-  cfg.grid = gpusim::Dim3{static_cast<std::uint32_t>(total)};
-  cfg.block = gpusim::Dim3{config_.block_size};
-
   {
     FillRandomKernel fill(params, d, executed, r0);
-    device.launch(cfg, fill, cost_scale);
+    device.launch(instance_blocks(config_, total), fill, cost_scale);
   }
   {
-    cfg.shared_bytes = std::min<std::size_t>(config_.device.shared_mem_per_sm / 2,
-                                             2 * config_.block_size * sizeof(double) * 4);
     ConductivityBlockKernel rec(params, h_dev.ref(), a_dev.ref(), executed,
                                 config_.device.l2_cache_bytes, r0, beta, psi_work, mu_partial);
-    device.launch(cfg, rec, cost_scale);
-    cfg.shared_bytes = 0;
+    device.launch(instance_blocks(config_, total, sizeof(double)), rec, cost_scale);
   }
   ConductivityMoments result;
   result.num_moments = n;
   result.mu.resize(n * n);
   result.instances_executed = executed;
   {
-    AverageConductivityKernel avg(n, d, executed, total, mu_partial, mu_dev);
+    AverageMomentsKernel avg(n * n, d, executed, total, mu_partial, mu_dev,
+                             "kpm_conductivity_average");
     device.launch(gpusim::ExecConfig::linear(n * n, 128), avg);
   }
   device.copy_to_host<double>(mu_dev, result.mu, "mu matrix download");

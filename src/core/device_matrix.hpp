@@ -15,43 +15,62 @@
 namespace kpm::core {
 
 /// Non-owning view of a device-resident matrix, usable inside kernels.
-struct DeviceMatrixRef {
+/// `T` is the element type: double, or std::complex<double> for the
+/// Hermitian (magnetic-field) operator.
+template <typename T>
+struct BasicDeviceMatrixRef {
   linalg::Storage storage = linalg::Storage::Dense;
   std::size_t dim = 0;
   std::size_t stored_entries = 0;
-  std::span<const double> values;           // dense: dim*dim row-major; crs: nnz
+  std::span<const T> values;                // dense: dim*dim row-major; crs: nnz
   std::span<const std::int32_t> row_ptr;    // crs only
   std::span<const std::int32_t> col_idx;    // crs only
 
   /// Bytes one full traversal of the matrix streams from global memory.
   [[nodiscard]] double traversal_bytes() const noexcept {
     if (storage == linalg::Storage::Dense)
-      return static_cast<double>(stored_entries) * sizeof(double);
-    return static_cast<double>(stored_entries) * (sizeof(double) + sizeof(std::int32_t)) +
+      return static_cast<double>(stored_entries) * sizeof(T);
+    return static_cast<double>(stored_entries) * (sizeof(T) + sizeof(std::int32_t)) +
            static_cast<double>(dim + 1) * sizeof(std::int32_t);
   }
 
-  /// y = H~ x on raw spans (no metering; kernels meter analytically).
-  void multiply(std::span<const double> x, std::span<double> y) const noexcept {
+  /// The one row sweep of every device kernel: acc = (H~ x)[r] summed in
+  /// storage order, handed to `store(r, acc)` row by row.  No metering;
+  /// kernels meter analytically.
+  template <typename Store>
+  void sweep(std::span<const T> x, Store store) const noexcept {
     if (storage == linalg::Storage::Dense) {
       for (std::size_t r = 0; r < dim; ++r) {
-        const double* row = values.data() + r * dim;
-        double acc = 0.0;
+        const T* row = values.data() + r * dim;
+        T acc{};
         for (std::size_t c = 0; c < dim; ++c) acc += row[c] * x[c];
-        y[r] = acc;
+        store(r, acc);
       }
     } else {
       for (std::size_t r = 0; r < dim; ++r) {
-        double acc = 0.0;
+        T acc{};
         for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
           const auto kk = static_cast<std::size_t>(k);
           acc += values[kk] * x[static_cast<std::size_t>(col_idx[kk])];
         }
-        y[r] = acc;
+        store(r, acc);
       }
     }
   }
+
+  /// y = H~ x.
+  void multiply(std::span<const T> x, std::span<T> y) const noexcept {
+    sweep(x, [&](std::size_t r, T acc) { y[r] = acc; });
+  }
+
+  /// One Chebyshev step: out = 2 H~ x - prev2.  `out` may alias `prev2`
+  /// (row r reads prev2[r] only after its own sum).
+  void step(std::span<const T> x, std::span<const T> prev2, std::span<T> out) const noexcept {
+    sweep(x, [&](std::size_t r, T acc) { out[r] = 2.0 * acc - prev2[r]; });
+  }
 };
+
+using DeviceMatrixRef = BasicDeviceMatrixRef<double>;
 
 /// Owning device-side matrix storage.
 class DeviceMatrix {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 
+#include "core/moments_gpu.hpp"
 #include "gpusim/view.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/counters.hpp"
@@ -17,66 +19,98 @@ const char* to_string(GpuMapping m) noexcept {
 }
 
 namespace detail {
+namespace {
 
-void instance_recursion(const DeviceMatrixRef& h, std::span<const double> r0, std::span<double> a,
-                        std::span<double> b, std::span<double> mu_tilde,
-                        std::size_t num_moments) {
-  const std::size_t d = h.dim;
-  // Functional-work counters (instances, SpMVs, dots) match the serial CPU
-  // reference exactly; modeled GPU flop/byte totals stay in the gpu_*
+using Complex = std::complex<double>;
+
+double dot_re(std::span<const double> x, std::span<const double> y) { return linalg::dot(x, y); }
+
+double dot_re(std::span<const Complex> x, std::span<const Complex> y) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) acc += (std::conj(x[i]) * y[i]).real();
+  return acc;
+}
+
+}  // namespace
+
+template <typename T>
+void instance_recursion(const BasicDeviceMatrixRef<T>& h, std::span<const T> r0, std::span<T> a,
+                        std::span<T> b, std::span<double> mu_tilde, std::size_t num_moments,
+                        DotPolicy dots) {
+  const std::size_t n = num_moments;
+  const bool paired = dots == DotPolicy::Paired;
+  // The last vector the recursion builds, which is also its SpMV count:
+  // r_{N-1} for single dots, r_{ceil(N/2)} for paired ones.
+  const std::size_t last = paired ? (n + 1) / 2 : n - 1;
+  // Functional-work counters (instances, SpMVs, dots) match the CPU
+  // engines exactly; modeled GPU flop/byte totals stay in the gpu_*
   // counters via the gpusim timeline bridge.
   obs::add(obs::Counter::InstancesExecuted, 1.0);
-  obs::add(obs::Counter::SpmvCalls,
-           num_moments >= 2 ? static_cast<double>(num_moments - 1) : 0.0);
-  obs::add(obs::Counter::DotCalls, static_cast<double>(num_moments));
-  // linalg::dot's canonical 4-lane order — keeps this simulated kernel
-  // bit-identical to the (fused) CPU reference engine.
-  auto dot_r0 = [&](std::span<const double> v) { return linalg::dot(r0, v); };
+  obs::add(obs::Counter::SpmvCalls, static_cast<double>(last));
+  if (!paired) obs::add(obs::Counter::DotCalls, static_cast<double>(n));
 
-  // mu~_0 = <r0|r0>.
-  mu_tilde[0] = dot_r0(r0);
-  if (num_moments == 1) return;
-
-  // |r1> = H~|r0>;  mu~_1 = <r0|r1>.
+  // mu~_0 = <r0|r0>;  |r1> = H~|r0>;  mu~_1 = <r0|r1>.
+  mu_tilde[0] = dot_re(r0, r0);
+  if (last == 0) return;
   h.multiply(r0, a);
-  mu_tilde[1] = dot_r0(a);
+  if (n > 1) mu_tilde[1] = dot_re(r0, a);
 
-  // n = 2: |r2> = 2 H~|r1> - |r0>  (prev2 is the read-only r0; target b).
-  if (num_moments > 2) {
-    h.multiply(a, b);
-    for (std::size_t i = 0; i < d; ++i) b[i] = 2.0 * b[i] - r0[i];
-    mu_tilde[2] = dot_r0(b);
-  }
-
-  // n >= 3: |r_n> = 2 H~|r_{n-1}> - |r_{n-2}>, overwriting prev2 in place.
-  // cur alternates between b and a; the SpMV result lands in a scratch
-  // accumulation per row, so in-place combine against prev2 is safe.
-  std::span<double> cur = b;
-  std::span<double> other = a;  // holds r_{n-2}; becomes r_n
-  for (std::size_t n = 3; n < num_moments; ++n) {
-    if (h.storage == linalg::Storage::Dense) {
-      for (std::size_t r = 0; r < d; ++r) {
-        const double* row = h.values.data() + r * d;
-        double acc = 0.0;
-        for (std::size_t c = 0; c < d; ++c) acc += row[c] * cur[c];
-        other[r] = 2.0 * acc - other[r];
-      }
-    } else {
-      for (std::size_t r = 0; r < d; ++r) {
-        double acc = 0.0;
-        for (auto k = h.row_ptr[r]; k < h.row_ptr[r + 1]; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          acc += h.values[kk] * cur[static_cast<std::size_t>(h.col_idx[kk])];
-        }
-        other[r] = 2.0 * acc - other[r];
-      }
+  // |r_{k+1}> = 2 H~|r_k> - |r_{k-1}>, written over r_{k-1} in place (over
+  // b at k = 1, where r_{k-1} is the read-only r0).
+  std::span<T> cur = a;
+  std::span<T> other = b;
+  std::span<const T> prev2 = r0;
+  for (std::size_t k = 1; k < last; ++k) {
+    if (paired && 2 * k < n) mu_tilde[2 * k] = 2.0 * dot_re(cur, cur) - mu_tilde[0];
+    h.step(cur, prev2, other);
+    if (!paired) {
+      mu_tilde[k + 1] = dot_re(r0, other);
+    } else if (2 * k + 1 < n) {
+      mu_tilde[2 * k + 1] = 2.0 * dot_re(other, cur) - mu_tilde[1];
     }
-    mu_tilde[n] = dot_r0(other);
     std::swap(cur, other);
+    prev2 = other;
   }
 }
 
+template void instance_recursion<double>(const DeviceMatrixRef&, std::span<const double>,
+                                         std::span<double>, std::span<double>,
+                                         std::span<double>, std::size_t, DotPolicy);
+template void instance_recursion<Complex>(const BasicDeviceMatrixRef<Complex>&,
+                                          std::span<const Complex>, std::span<Complex>,
+                                          std::span<Complex>, std::span<double>, std::size_t,
+                                          DotPolicy);
+
 }  // namespace detail
+
+gpusim::ExecConfig instance_blocks(const GpuEngineConfig& config, std::size_t instances,
+                                   std::size_t staged_elem_bytes) {
+  gpusim::ExecConfig cfg;
+  cfg.grid = gpusim::Dim3{static_cast<std::uint32_t>(instances)};
+  cfg.block = gpusim::Dim3{config.block_size};
+  cfg.shared_bytes = std::min<std::size_t>(config.device.shared_mem_per_sm / 2,
+                                           2 * config.block_size * staged_elem_bytes * 4);
+  return cfg;
+}
+
+void launch_recursion(gpusim::Device& device, const GpuEngineConfig& config,
+                      const MomentParams& params, const DeviceMatrixRef& h,
+                      std::size_t instances, std::size_t active, const RecursionBuffers& buffers,
+                      double cost_scale, gpusim::StreamId stream) {
+  const std::size_t l2 = config.device.l2_cache_bytes;
+  if (config.mapping == GpuMapping::InstancePerBlock) {
+    RecursionBlockKernel rec(params, h, active, l2, buffers.r0, buffers.work_a, buffers.work_b,
+                             buffers.mu_tilde,
+                             config.paired_moments ? detail::DotPolicy::Paired
+                                                   : detail::DotPolicy::Single);
+    device.launch(instance_blocks(config, instances, sizeof(double)), rec, cost_scale, stream);
+  } else {
+    RecursionThreadKernel rec(params, h, active, l2, buffers.r0, buffers.work_a, buffers.work_b,
+                              buffers.mu_tilde);
+    device.launch(gpusim::ExecConfig::linear(instances, config.block_size), rec, cost_scale,
+                  stream);
+  }
+}
 
 void FillRandomKernel::block_phase(int /*phase*/, gpusim::BlockContext& block) {
   const std::size_t inst = block.bid();
@@ -96,7 +130,8 @@ void FillRandomKernel::block_phase(int /*phase*/, gpusim::BlockContext& block) {
   block.flop(10.0 * static_cast<double>(dim_));
 }
 
-void RecursionBlockKernel::block_phase(int /*phase*/, gpusim::BlockContext& block) {
+template <typename T>
+void BasicRecursionBlockKernel<T>::block_phase(int /*phase*/, gpusim::BlockContext& block) {
   const std::size_t inst = block.bid();
   if (inst >= active_) return;
 
@@ -104,13 +139,14 @@ void RecursionBlockKernel::block_phase(int /*phase*/, gpusim::BlockContext& bloc
   const std::size_t n = params_->num_moments;
   const std::size_t base = inst * d;
 
-  detail::instance_recursion(h_, r0_->raw().subspan(base, d), work_a_->raw().subspan(base, d),
-                             work_b_->raw().subspan(base, d),
-                             mu_tilde_->raw().subspan(inst * n, n), n);
+  detail::instance_recursion<T>(h_, r0_->raw().subspan(base, d), work_a_->raw().subspan(base, d),
+                                work_b_->raw().subspan(base, d),
+                                mu_tilde_->raw().subspan(inst * n, n), n, dots_);
   meter_instance(block);
 }
 
-void RecursionBlockKernel::meter_instance(gpusim::BlockContext& block) const {
+template <typename T>
+void BasicRecursionBlockKernel<T>::meter_instance(gpusim::BlockContext& block) const {
   // Analytic traffic of one instance's recursion under the
   // instance-per-block mapping (see header).  Data-independent, so adding
   // totals after the functional loop is exact.
@@ -118,7 +154,20 @@ void RecursionBlockKernel::meter_instance(gpusim::BlockContext& block) const {
   const auto n = static_cast<double>(params_->num_moments);
   const double entries = static_cast<double>(h_.stored_entries);
   const double matrix_bytes = h_.traversal_bytes();
+  const double elem = sizeof(T);
+  // Flops per matrix entry (one multiply-add) and per vector element of a
+  // combine or dot: a complex multiply-add is ~8 real flops.
+  const double entry_flops = std::is_same_v<T, double> ? 2.0 : 8.0;
+  const double elem_flops = std::is_same_v<T, double> ? 2.0 : 4.0;
   auto& c = block.counters();
+
+  // Single dots: N - 1 SpMVs, a dot per moment and a reduction per dot.
+  // Paired: ceil(N/2) SpMVs, N + 1 dot streams and one (two-value)
+  // reduction per SpMV.
+  const bool paired = dots_ == detail::DotPolicy::Paired;
+  const double spmvs = paired ? std::ceil(n / 2.0) : n - 1.0;
+  const double dot_streams = paired ? n + 1.0 : n;
+  const double reductions = paired ? spmvs : n;
 
   // The matrix streams once per SpMV; when it fits the device L2 the
   // re-reads across concurrently resident blocks are served on-chip
@@ -130,123 +179,32 @@ void RecursionBlockKernel::meter_instance(gpusim::BlockContext& block) const {
   const std::size_t mat = static_cast<std::size_t>(mat_pattern);
   const std::size_t coal = static_cast<std::size_t>(AccessPattern::Coalesced);
 
-  const double spmvs = n - 1.0;  // one per moment from n = 1
   c.global_read_bytes[mat] += spmvs * matrix_bytes;
   // x staged into shared once per SpMV (coalesced global read), then the
   // per-entry gathers hit shared memory; matrix words also pass through
   // shared after the global stream.
-  c.global_read_bytes[coal] += spmvs * d * sizeof(double);
-  c.shared_bytes += spmvs * (entries * sizeof(double) + matrix_bytes);
-  // y / combine: write next (D), read prev2 (D) per step from n = 2.
-  c.global_write_bytes[coal] += spmvs * d * sizeof(double);
-  c.global_read_bytes[coal] += (n - 2.0) * d * sizeof(double);
-  // Dots <r0|r_n>: read r0 + r_n per moment (r_n often still in registers,
-  // charged anyway: the paper's kernel re-reads it), plus the tree
-  // reduction.
-  c.global_read_bytes[coal] += n * 2.0 * d * sizeof(double);
+  c.global_read_bytes[coal] += spmvs * d * elem;
+  c.shared_bytes += spmvs * (entries * elem + matrix_bytes);
+  // y / combine: write next (D) per SpMV, read prev2 (D) per step after r_1.
+  c.global_write_bytes[coal] += spmvs * d * elem;
+  c.global_read_bytes[coal] += (spmvs - 1.0) * d * elem;
+  // Dots: read both operands per dot stream (r_n often still in
+  // registers, charged anyway: the paper's kernel re-reads it), plus the
+  // tree reduction.
+  c.global_read_bytes[coal] += dot_streams * 2.0 * d * elem;
   const auto threads = static_cast<double>(block.threads());
-  c.shared_bytes += n * 2.0 * threads * sizeof(double);  // reduction traffic
-  c.barriers += n * (std::ceil(std::log2(std::max(2.0, threads))) + 2.0);
+  c.shared_bytes += dot_streams * 2.0 * threads * sizeof(double);  // reduction traffic
+  c.barriers += reductions * (std::ceil(std::log2(std::max(2.0, threads))) + 2.0);
   // mu~ writes.
   c.global_write_bytes[coal] += n * sizeof(double);
 
-  // Flops: SpMV (2/entry) + combine (2/element) + dots (2/element).
-  c.flops += spmvs * 2.0 * entries + (n - 2.0) * 2.0 * d + n * 2.0 * d;
+  // Flops: SpMVs + combines + dots.
+  c.flops += spmvs * entry_flops * entries + (spmvs - 1.0) * elem_flops * d +
+             dot_streams * elem_flops * d;
 }
 
-void RecursionBlockPairedKernel::block_phase(int /*phase*/, gpusim::BlockContext& block) {
-  const std::size_t inst = block.bid();
-  if (inst >= active_) return;
-
-  const std::size_t d = h_.dim;
-  const std::size_t n = params_->num_moments;
-  const std::size_t half = (n + 1) / 2;
-  const auto r0 = r0_->raw().subspan(inst * d, d);
-  auto a = work_a_->raw().subspan(inst * d, d);
-  auto b = work_b_->raw().subspan(inst * d, d);
-  auto mu = mu_tilde_->raw().subspan(inst * n, n);
-
-  // r_1 plus (half - 1) recursion steps — same SpMV count as the fused CPU
-  // paired engine.
-  obs::add(obs::Counter::InstancesExecuted, 1.0);
-  obs::add(obs::Counter::SpmvCalls, static_cast<double>(half));
-
-  // Same canonical dot order as the fused CPU paired engine (bitwise tests
-  // compare the two engines moment-by-moment).
-  auto dot = [&](std::span<const double> x, std::span<const double> y) {
-    return linalg::dot(x, y);
-  };
-
-  const double mu0 = dot(r0, r0);
-  mu[0] = mu0;
-  h_.multiply(r0, a);  // r_1
-  double mu1 = 0.0;
-  if (n > 1) {
-    mu1 = dot(r0, a);
-    mu[1] = mu1;
-  }
-
-  // cur = r_k, other = r_{k-1} (overwritten in place with r_{k+1}).
-  std::span<double> cur = a;
-  std::span<double> other = b;
-  bool other_is_r0 = true;  // at k = 1 the prev2 vector is r0 itself
-  for (std::size_t k = 1; k < half; ++k) {
-    const std::size_t even = 2 * k;
-    if (even < n) mu[even] = 2.0 * dot(cur, cur) - mu0;
-
-    // r_{k+1} = 2 H r_k - r_{k-1}, written into `other`.
-    const std::span<const double> prev2 = other_is_r0 ? std::span<const double>(r0) : other;
-    if (h_.storage == linalg::Storage::Dense) {
-      for (std::size_t r = 0; r < d; ++r) {
-        const double* row = h_.values.data() + r * d;
-        double acc = 0.0;
-        for (std::size_t c = 0; c < d; ++c) acc += row[c] * cur[c];
-        other[r] = 2.0 * acc - prev2[r];
-      }
-    } else {
-      for (std::size_t r = 0; r < d; ++r) {
-        double acc = 0.0;
-        for (auto kk = h_.row_ptr[r]; kk < h_.row_ptr[r + 1]; ++kk) {
-          const auto idx = static_cast<std::size_t>(kk);
-          acc += h_.values[idx] * cur[static_cast<std::size_t>(h_.col_idx[idx])];
-        }
-        other[r] = 2.0 * acc - prev2[r];
-      }
-    }
-    other_is_r0 = false;
-
-    const std::size_t odd = 2 * k + 1;
-    if (odd < n) mu[odd] = 2.0 * dot(other, cur) - mu1;
-    std::swap(cur, other);
-  }
-  meter_instance(block);
-}
-
-void RecursionBlockPairedKernel::meter_instance(gpusim::BlockContext& block) const {
-  const auto d = static_cast<double>(h_.dim);
-  const auto n = static_cast<double>(params_->num_moments);
-  const double half = std::ceil(n / 2.0);
-  const double entries = static_cast<double>(h_.stored_entries);
-  const double matrix_bytes = h_.traversal_bytes();
-  auto& c = block.counters();
-
-  const auto mat = static_cast<std::size_t>(matrix_bytes <= static_cast<double>(l2_bytes_)
-                                                ? gpusim::AccessPattern::Broadcast
-                                                : gpusim::AccessPattern::Strided);
-  const auto coal = static_cast<std::size_t>(gpusim::AccessPattern::Coalesced);
-  const double spmvs = half;  // r_1 plus (half - 1) steps
-  c.global_read_bytes[mat] += spmvs * matrix_bytes;
-  c.global_read_bytes[coal] += spmvs * d * sizeof(double);
-  c.shared_bytes += spmvs * (entries * sizeof(double) + matrix_bytes);
-  c.global_write_bytes[coal] += spmvs * d * sizeof(double);
-  c.global_read_bytes[coal] += (half - 1.0) * d * sizeof(double);        // prev2
-  c.global_read_bytes[coal] += (n + 1.0) * 2.0 * d * sizeof(double);     // the dots
-  const auto threads = static_cast<double>(block.threads());
-  c.shared_bytes += (n + 1.0) * 2.0 * threads * sizeof(double);
-  c.barriers += half * (std::ceil(std::log2(std::max(2.0, threads))) + 2.0);
-  c.global_write_bytes[coal] += n * sizeof(double);
-  c.flops += spmvs * 2.0 * entries + (half - 1.0) * 2.0 * d + (n + 1.0) * 2.0 * d;
-}
+template class BasicRecursionBlockKernel<double>;
+template class BasicRecursionBlockKernel<detail::Complex>;
 
 void RecursionThreadKernel::block_phase(int /*phase*/, gpusim::BlockContext& block) {
   const std::size_t threads = block.threads();
@@ -259,9 +217,11 @@ void RecursionThreadKernel::block_phase(int /*phase*/, gpusim::BlockContext& blo
     if (inst >= active_) continue;
     ++active_in_block;
     const std::size_t base = inst * d;
-    detail::instance_recursion(h_, r0_->raw().subspan(base, d), work_a_->raw().subspan(base, d),
-                               work_b_->raw().subspan(base, d),
-                               mu_tilde_->raw().subspan(inst * n, n), n);
+    detail::instance_recursion<double>(h_, r0_->raw().subspan(base, d),
+                                       work_a_->raw().subspan(base, d),
+                                       work_b_->raw().subspan(base, d),
+                                       mu_tilde_->raw().subspan(inst * n, n), n,
+                                       detail::DotPolicy::Single);
   }
   if (active_in_block == 0) return;
 

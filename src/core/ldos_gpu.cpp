@@ -41,9 +41,10 @@ class FillBasisKernel final : public gpusim::Kernel {
 }  // namespace
 
 GpuLdosEngine::GpuLdosEngine(GpuEngineConfig config) : config_(std::move(config)) {
-  config_.device.validate();
-  KPM_REQUIRE(config_.block_size > 0 && config_.block_size % 32 == 0,
-              "GpuLdosEngine: block_size must be a positive multiple of the warp size");
+  // One basis vector per block with single dots, whatever the config asks.
+  config_.mapping = GpuMapping::InstancePerBlock;
+  config_.paired_moments = false;
+  config_.validate();
 }
 
 LdosMoments GpuLdosEngine::compute(const linalg::MatrixOperator& h_tilde,
@@ -65,22 +66,14 @@ LdosMoments GpuLdosEngine::compute(const linalg::MatrixOperator& h_tilde,
   auto work_b = device.alloc<double>(count * d, "work b");
   auto mu_dev = device.alloc<double>(count * num_moments, "ldos moments");
 
-  gpusim::ExecConfig cfg;
-  cfg.grid = gpusim::Dim3{static_cast<std::uint32_t>(count)};
-  cfg.block = gpusim::Dim3{config_.block_size};
   {
     FillBasisKernel fill(sites, d, r0);
-    device.launch(cfg, fill);
+    device.launch(instance_blocks(config_, count), fill);
   }
-  {
-    MomentParams params;  // only num_moments matters for the recursion
-    params.num_moments = num_moments;
-    cfg.shared_bytes = std::min<std::size_t>(config_.device.shared_mem_per_sm / 2,
-                                             2 * config_.block_size * sizeof(double) * 4);
-    RecursionBlockKernel rec(params, h_dev.ref(), count, config_.device.l2_cache_bytes, r0,
-                             work_a, work_b, mu_dev);
-    device.launch(cfg, rec);
-  }
+  MomentParams params;  // only num_moments matters for the recursion
+  params.num_moments = num_moments;
+  launch_recursion(device, config_, params, h_dev.ref(), count, count,
+                   {r0, work_a, work_b, mu_dev});
 
   LdosMoments result;
   result.sites.assign(sites.begin(), sites.end());

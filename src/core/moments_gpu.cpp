@@ -1,6 +1,5 @@
 #include "core/moments_gpu.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -12,14 +11,18 @@
 
 namespace kpm::core {
 
-GpuMomentEngine::GpuMomentEngine(GpuEngineConfig config) : config_(std::move(config)) {
-  config_.device.validate();
-  KPM_REQUIRE(config_.block_size > 0 && config_.block_size % 32 == 0,
+void GpuEngineConfig::validate() const {
+  device.validate();
+  KPM_REQUIRE(block_size > 0 && block_size % 32 == 0,
               "GpuEngineConfig: block_size must be a positive multiple of the warp size");
-  KPM_REQUIRE(config_.context_setup_seconds >= 0,
+  KPM_REQUIRE(context_setup_seconds >= 0,
               "GpuEngineConfig: context_setup_seconds must be non-negative");
-  KPM_REQUIRE(!config_.paired_moments || config_.mapping == GpuMapping::InstancePerBlock,
+  KPM_REQUIRE(!paired_moments || mapping == GpuMapping::InstancePerBlock,
               "GpuEngineConfig: paired_moments requires the instance-per-block mapping");
+}
+
+GpuMomentEngine::GpuMomentEngine(GpuEngineConfig config) : config_(std::move(config)) {
+  config_.validate();
 }
 
 std::string GpuMomentEngine::name() const {
@@ -54,41 +57,13 @@ MomentResult GpuMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
 
   // --- Step (1): random vectors.  One block per instance.
   {
-    gpusim::ExecConfig cfg;
-    cfg.grid = gpusim::Dim3{static_cast<std::uint32_t>(total)};
-    cfg.block = gpusim::Dim3{config_.block_size};
     FillRandomKernel fill(params, d, executed, r0);
-    device.launch(cfg, fill, cost_scale);
+    device.launch(instance_blocks(config_, total), fill, cost_scale);
   }
 
   // --- Step (2): the recursion.
-  if (config_.mapping == GpuMapping::InstancePerBlock) {
-    gpusim::ExecConfig cfg;
-    cfg.grid = gpusim::Dim3{static_cast<std::uint32_t>(total)};
-    cfg.block = gpusim::Dim3{config_.block_size};
-    // Shared staging region: a tile of x plus a tile of the matrix stream.
-    cfg.shared_bytes = std::min<std::size_t>(config_.device.shared_mem_per_sm / 2,
-                                             2 * config_.block_size * sizeof(double) * 4);
-    if (config_.paired_moments) {
-      RecursionBlockPairedKernel rec(params, h_dev.ref(), executed,
-                                     config_.device.l2_cache_bytes, r0, work_a, work_b,
-                                     mu_tilde);
-      device.launch(cfg, rec, cost_scale);
-    } else {
-      RecursionBlockKernel rec(params, h_dev.ref(), executed, config_.device.l2_cache_bytes, r0,
-                               work_a, work_b, mu_tilde);
-      device.launch(cfg, rec, cost_scale);
-    }
-  } else {
-    const auto blocks =
-        static_cast<std::uint32_t>((total + config_.block_size - 1) / config_.block_size);
-    gpusim::ExecConfig cfg;
-    cfg.grid = gpusim::Dim3{blocks};
-    cfg.block = gpusim::Dim3{config_.block_size};
-    RecursionThreadKernel rec(params, h_dev.ref(), executed, config_.device.l2_cache_bytes, r0,
-                              work_a, work_b, mu_tilde);
-    device.launch(cfg, rec, cost_scale);
-  }
+  launch_recursion(device, config_, params, h_dev.ref(), total, executed,
+                   {r0, work_a, work_b, mu_tilde}, cost_scale);
 
   // --- Step (3): average mu~ over instances.  Launched unscaled: the
   // kernel meters its own cost against the full instance count (see its

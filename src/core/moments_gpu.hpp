@@ -29,6 +29,11 @@ struct GpuEngineConfig {
   /// module and warming the allocator — dominant at small N (Fig. 7's
   /// rising speedup); charged once per compute().
   double context_setup_seconds = 50e-3;
+
+  /// Checks the device spec, a block size that is a positive multiple of
+  /// the warp size, a non-negative context setup, and that paired moments
+  /// run instance-per-block.  Every GPU driver's constructor calls it.
+  void validate() const;
 };
 
 /// Moment engine running on the simulated GPU.

@@ -63,14 +63,13 @@ class AccumulateMomentsKernel final : public gpusim::Kernel {
 
 ChunkedGpuMomentEngine::ChunkedGpuMomentEngine(ChunkedGpuEngineConfig config)
     : config_(std::move(config)) {
-  config_.base.device.validate();
-  KPM_REQUIRE(config_.base.block_size > 0 && config_.base.block_size % 32 == 0,
-              "ChunkedGpuEngineConfig: block_size must be a positive multiple of the warp size");
+  config_.base.validate();
 }
 
 std::string ChunkedGpuMomentEngine::name() const {
   return std::string("gpu-chunked-") + to_string(config_.base.mapping) +
-         (config_.overlap_fill ? "-overlap" : "-serial");
+         (config_.overlap_fill ? "-overlap" : "-serial") +
+         (config_.base.paired_moments ? "-paired" : "");
 }
 
 MomentResult ChunkedGpuMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
@@ -121,14 +120,10 @@ MomentResult ChunkedGpuMomentEngine::compute(const linalg::MatrixOperator& h_til
     return std::pair{begin, std::min(chunk, executed - begin)};
   };
 
-  gpusim::ExecConfig chunk_cfg;
-  chunk_cfg.block = gpusim::Dim3{config_.base.block_size};
-
   auto launch_fill = [&](std::size_t c, gpusim::StreamId stream) {
     const auto [begin, count] = chunk_range(c);
-    chunk_cfg.grid = gpusim::Dim3{static_cast<std::uint32_t>(count)};
     FillRandomKernel fill(params, d, count, r0[c % 2], begin);
-    device.launch(chunk_cfg, fill, cost_scale, stream);
+    device.launch(instance_blocks(config_.base, count), fill, cost_scale, stream);
   };
 
   // Prime the pipeline: fill chunk 0.
@@ -139,25 +134,11 @@ MomentResult ChunkedGpuMomentEngine::compute(const linalg::MatrixOperator& h_til
 
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t cur = c % 2;
-    const auto [begin, count] = chunk_range(c);
-    (void)begin;
+    const std::size_t count = chunk_range(c).second;
 
     device.wait_event(s_rec, fill_done[cur]);
-    chunk_cfg.grid = gpusim::Dim3{static_cast<std::uint32_t>(count)};
-    if (config_.base.mapping == GpuMapping::InstancePerBlock) {
-      chunk_cfg.shared_bytes = std::min<std::size_t>(
-          config_.base.device.shared_mem_per_sm / 2,
-          2 * config_.base.block_size * sizeof(double) * 4);
-      RecursionBlockKernel rec(params, h_dev.ref(), count, config_.base.device.l2_cache_bytes,
-                               r0[cur], work_a, work_b, mu_tilde);
-      device.launch(chunk_cfg, rec, cost_scale, s_rec);
-      chunk_cfg.shared_bytes = 0;
-    } else {
-      gpusim::ExecConfig thread_cfg = gpusim::ExecConfig::linear(count, config_.base.block_size);
-      RecursionThreadKernel rec(params, h_dev.ref(), count, config_.base.device.l2_cache_bytes,
-                                r0[cur], work_a, work_b, mu_tilde);
-      device.launch(thread_cfg, rec, cost_scale, s_rec);
-    }
+    launch_recursion(device, config_.base, params, h_dev.ref(), count, count,
+                     {r0[cur], work_a, work_b, mu_tilde}, cost_scale, s_rec);
     {
       AccumulateMomentsKernel acc(n, count, static_cast<double>(count) * cost_scale, mu_tilde,
                                   mu_sum);

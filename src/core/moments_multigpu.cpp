@@ -16,16 +16,15 @@ namespace kpm::core {
 
 MultiGpuMomentEngine::MultiGpuMomentEngine(MultiGpuEngineConfig config)
     : config_(std::move(config)) {
-  config_.per_device.device.validate();
+  config_.per_device.validate();
   config_.link.validate();
   KPM_REQUIRE(config_.device_count >= 1, "MultiGpuEngineConfig: need at least one device");
-  KPM_REQUIRE(config_.per_device.block_size > 0 && config_.per_device.block_size % 32 == 0,
-              "MultiGpuEngineConfig: block_size must be a positive multiple of the warp size");
 }
 
 std::string MultiGpuMomentEngine::name() const {
   return "gpu-cluster-x" + std::to_string(config_.device_count) + "-" +
-         to_string(config_.per_device.mapping);
+         to_string(config_.per_device.mapping) +
+         (config_.per_device.paired_moments ? "-paired" : "");
 }
 
 MomentResult MultiGpuMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
@@ -72,36 +71,12 @@ MomentResult MultiGpuMomentEngine::compute(const linalg::MatrixOperator& h_tilde
     // Fill: RNG streams are the GLOBAL instance ids, so the distributed
     // run draws exactly the same random vectors as a single-GPU run.
     {
-      gpusim::ExecConfig cfg;
-      cfg.grid = gpusim::Dim3{static_cast<std::uint32_t>(count)};
-      cfg.block = gpusim::Dim3{config_.per_device.block_size};
       FillRandomKernel fill(params, d, local_sample, r0, begin);
-      dev.launch(cfg, fill, cost_scale);
+      dev.launch(instance_blocks(config_.per_device, count), fill, cost_scale);
     }
 
-    // Recursion on the chunk.
-    if (config_.per_device.mapping == GpuMapping::InstancePerBlock) {
-      gpusim::ExecConfig cfg;
-      cfg.grid = gpusim::Dim3{static_cast<std::uint32_t>(count)};
-      cfg.block = gpusim::Dim3{config_.per_device.block_size};
-      cfg.shared_bytes = std::min<std::size_t>(
-          config_.per_device.device.shared_mem_per_sm / 2,
-          2 * config_.per_device.block_size * sizeof(double) * 4);
-      RecursionBlockKernel rec(params, h_dev.ref(), local_sample,
-                               config_.per_device.device.l2_cache_bytes, r0, work_a, work_b,
-                               mu_tilde);
-      dev.launch(cfg, rec, cost_scale);
-    } else {
-      const auto blocks = static_cast<std::uint32_t>(
-          (count + config_.per_device.block_size - 1) / config_.per_device.block_size);
-      gpusim::ExecConfig cfg;
-      cfg.grid = gpusim::Dim3{blocks};
-      cfg.block = gpusim::Dim3{config_.per_device.block_size};
-      RecursionThreadKernel rec(params, h_dev.ref(), local_sample,
-                                config_.per_device.device.l2_cache_bytes, r0, work_a, work_b,
-                                mu_tilde);
-      dev.launch(cfg, rec, cost_scale);
-    }
+    launch_recursion(dev, config_.per_device, params, h_dev.ref(), count, local_sample,
+                     {r0, work_a, work_b, mu_tilde}, cost_scale);
 
     // Per-device average, then host-side weighted recombination.
     {

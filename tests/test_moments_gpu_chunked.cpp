@@ -132,6 +132,31 @@ TEST(ChunkedGpu, BothMappingsSupported) {
   }
 }
 
+TEST(ChunkedGpu, PairedBitwiseEqualToPlainPairedEngineAcrossChunkBoundaries) {
+  Fixture f;
+  linalg::MatrixOperator op(f.h_tilde);
+  const auto p = params_24();
+  GpuEngineConfig paired;
+  paired.paired_moments = true;
+  GpuMomentEngine plain(paired);
+  const auto a = plain.compute(op, p);
+  auto cfg = tiny_chunks();
+  cfg.base = paired;
+  ChunkedGpuMomentEngine chunked(cfg);
+  const auto b = chunked.compute(op, p);
+  EXPECT_GE(chunked.last_chunk_count(), 2u) << "the test must actually chunk";
+  EXPECT_EQ(b.engine, "gpu-chunked-instance-per-block-overlap-paired");
+  ASSERT_EQ(a.mu.size(), b.mu.size());
+  for (std::size_t n = 0; n < a.mu.size(); ++n) EXPECT_EQ(a.mu[n], b.mu[n]) << "moment " << n;
+}
+
+TEST(ChunkedGpu, PairedRequiresInstancePerBlock) {
+  ChunkedGpuEngineConfig cfg;
+  cfg.base.paired_moments = true;
+  cfg.base.mapping = GpuMapping::InstancePerThread;
+  EXPECT_THROW(ChunkedGpuMomentEngine{cfg}, kpm::Error);
+}
+
 TEST(ChunkedGpu, NameEncodesConfiguration) {
   ChunkedGpuEngineConfig cfg;
   cfg.overlap_fill = true;

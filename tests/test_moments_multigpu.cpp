@@ -143,10 +143,40 @@ TEST(MultiGpu, RejectsBadConfig) {
   EXPECT_THROW(MultiGpuMomentEngine{cfg}, kpm::Error);
 }
 
+TEST(MultiGpu, PairedMatchesSingleGpuPairedToRoundoff) {
+  Fixture f;
+  linalg::MatrixOperator op(f.h_tilde);
+  const auto p = params_16_by_8();
+  MultiGpuEngineConfig cfg;
+  cfg.device_count = 4;
+  cfg.per_device.paired_moments = true;
+
+  GpuMomentEngine single(cfg.per_device);
+  const auto a = single.compute(op, p);
+  MultiGpuMomentEngine multi(cfg);
+  const auto b = multi.compute(op, p);
+
+  ASSERT_EQ(a.mu.size(), b.mu.size());
+  for (std::size_t n = 0; n < a.mu.size(); ++n) EXPECT_NEAR(a.mu[n], b.mu[n], 1e-14);
+  // Paired moments take ceil(N/2) SpMVs: the modeled kernel time must drop.
+  cfg.per_device.paired_moments = false;
+  MultiGpuMomentEngine plain(cfg);
+  EXPECT_LT(b.compute_seconds, plain.compute(op, p).compute_seconds);
+}
+
+TEST(MultiGpu, PairedRequiresInstancePerBlock) {
+  MultiGpuEngineConfig cfg;
+  cfg.per_device.paired_moments = true;
+  cfg.per_device.mapping = GpuMapping::InstancePerThread;
+  EXPECT_THROW(MultiGpuMomentEngine{cfg}, kpm::Error);
+}
+
 TEST(MultiGpu, NameEncodesTopology) {
   MultiGpuEngineConfig cfg;
   cfg.device_count = 4;
   EXPECT_EQ(MultiGpuMomentEngine(cfg).name(), "gpu-cluster-x4-instance-per-block");
+  cfg.per_device.paired_moments = true;
+  EXPECT_EQ(MultiGpuMomentEngine(cfg).name(), "gpu-cluster-x4-instance-per-block-paired");
 }
 
 }  // namespace

@@ -226,6 +226,15 @@ std::size_t parse_block(long long block) {
   return static_cast<std::size_t>(block);
 }
 
+/// Validates a count or index flag before it becomes a std::size_t, where a
+/// negative value would wrap to ~2^64 and surface as an allocator error.
+/// Zero passes by default: it means "off" or "auto" for some flags, and the
+/// library rejects it with its own message where it is meaningless.
+std::size_t parse_count(long long value, const char* flag, long long min = 0) {
+  KPM_REQUIRE(value >= min, strprintf("kpmcli: --%s must be >= %lld", flag, min));
+  return static_cast<std::size_t>(value);
+}
+
 int cmd_dos(int argc, const char* const* argv) {
   CliParser cli("kpmcli dos", "density of states via stochastic KPM");
   const auto* kind = cli.add_string("lattice", "cubic", "chain|square|cubic|honeycomb");
@@ -268,19 +277,17 @@ int cmd_dos(int argc, const char* const* argv) {
   KPM_REQUIRE(block_r == 1 || *engine_name != "gpu",
               "kpmcli dos: --block > 1 is a CPU SpMMV optimization; pick a cpu* engine");
   ClusterFlags cluster;
-  KPM_REQUIRE(*nodes >= 1, "kpmcli dos: --nodes must be >= 1");
-  KPM_REQUIRE(*halo >= 1, "kpmcli dos: --halo must be >= 1");
-  cluster.nodes = static_cast<std::size_t>(*nodes);
-  cluster.halo = static_cast<std::size_t>(*halo);
+  cluster.nodes = parse_count(*nodes, "nodes", 1);
+  cluster.halo = parse_count(*halo, "halo", 1);
   // Reject a bad fabric name even when another engine would ignore it.
   (void)gpusim::InterconnectSpec::from_name(*interconnect);
   cluster.interconnect = *interconnect;
   const auto os = make_operator_storage(w.h_tilde, *storage);
   const linalg::MatrixOperator& op = *os.op;
   core::MomentParams params;
-  params.num_moments = static_cast<std::size_t>(*n);
-  params.random_vectors = static_cast<std::size_t>(*r);
-  params.realizations = static_cast<std::size_t>(*s);
+  params.num_moments = parse_count(*n, "moments");
+  params.random_vectors = parse_count(*r, "R");
+  params.realizations = parse_count(*s, "S");
   params.block_r = block_r;
   const auto engine = make_engine(*engine_name, *threads, cluster);
   const auto result = engine->compute(op, params);
@@ -294,8 +301,8 @@ int cmd_dos(int argc, const char* const* argv) {
     core::save_moments(*save, file);
     std::printf("moment set written to %s\n", save->c_str());
   }
-  const auto curve = core::reconstruct_dos(result.mu, w.transform,
-                                           {.points = static_cast<std::size_t>(*points)});
+  const auto curve =
+      core::reconstruct_dos(result.mu, w.transform, {.points = parse_count(*points, "points")});
 
   std::printf(
       "%s, D=%zu — N=%zu, %zu instances, engine %s (%d thread%s): model %.3f s, host %.3f s\n\n",
@@ -341,9 +348,9 @@ int cmd_ldos(int argc, const char* const* argv) {
   KPM_REQUIRE(parse_block(*block) == 1,
               "kpmcli ldos: single-site LDOS has one start vector; --block must be 1");
   const auto os = make_operator_storage(w.h_tilde, *storage);
-  const auto curve = core::ldos_curve(*os.op, w.transform, static_cast<std::size_t>(*site),
-                                      static_cast<std::size_t>(*n),
-                                      {.points = static_cast<std::size_t>(*points)});
+  const auto curve =
+      core::ldos_curve(*os.op, w.transform, parse_count(*site, "site"), parse_count(*n, "moments"),
+                       {.points = parse_count(*points, "points")});
   std::printf("%s, LDOS at site %lld (N=%lld)\n\n", w.description.c_str(),
               static_cast<long long>(*site), static_cast<long long>(*n));
   Table table({"E", "rho_site(E)"});
@@ -387,13 +394,13 @@ int cmd_sigma(int argc, const char* const* argv) {
   linalg::MatrixOperator raw(h);
   const auto transform = linalg::make_spectral_transform(raw);
   const auto ht = linalg::rescale(h, transform);
-  const auto a = lattice::build_current_operator_crs(lat, static_cast<std::size_t>(*axis));
+  const auto a = lattice::build_current_operator_crs(lat, parse_count(*axis, "axis"));
   const auto os = make_operator_storage(ht, *storage);
   linalg::MatrixOperator op_a(a);
 
   core::MomentParams params;
-  params.num_moments = static_cast<std::size_t>(*n);
-  params.random_vectors = static_cast<std::size_t>(*r);
+  params.num_moments = parse_count(*n, "moments");
+  params.random_vectors = parse_count(*r, "R");
   params.realizations = 2;
   params.block_r = parse_block(*block);
   const auto m = core::conductivity_moments(*os.op, op_a, params);
@@ -425,7 +432,7 @@ int cmd_thermo(int argc, const char* const* argv) {
   const auto w = build_workload(*kind, parse_edge(*edge), 0.0, 0);
   linalg::MatrixOperator op(w.h_tilde);
   core::MomentParams params;
-  params.num_moments = static_cast<std::size_t>(*n);
+  params.num_moments = parse_count(*n, "moments");
   params.random_vectors = 8;
   params.realizations = 8;
   core::GpuMomentEngine engine;
@@ -447,7 +454,7 @@ int cmd_evolve(int argc, const char* const* argv) {
   const auto* steps = cli.add_int("steps", 5, "output steps");
   cli.parse(argc, argv);
 
-  const auto lat = lattice::HypercubicLattice::chain(static_cast<std::size_t>(*sites));
+  const auto lat = lattice::HypercubicLattice::chain(parse_count(*sites, "sites"));
   const auto h = lattice::build_tight_binding_crs(lat);
   linalg::MatrixOperator op(h);
   const auto transform = linalg::make_spectral_transform(op);
@@ -457,7 +464,7 @@ int cmd_evolve(int argc, const char* const* argv) {
 
   std::vector<std::complex<double>> psi(lat.sites(), {0.0, 0.0});
   psi[lat.sites() / 2] = {1.0, 0.0};
-  const double dt = *time / static_cast<double>(*steps);
+  const double dt = *time / static_cast<double>(parse_count(*steps, "steps", 1));
   std::printf("chain of %zu sites, |psi(0)> localized at the center\n\n", lat.sites());
   Table table({"t", "P(origin)", "spread", "norm"});
   for (int s = 0; s <= *steps; ++s) {
@@ -491,13 +498,13 @@ int cmd_reconstruct(int argc, const char* const* argv) {
   const auto file = core::load_moments(*path);
   const auto transform = file.transform();
   std::span<const double> mu(file.mu);
-  if (*truncate > 0 && static_cast<std::size_t>(*truncate) < mu.size())
-    mu = mu.subspan(0, static_cast<std::size_t>(*truncate));
+  const std::size_t keep = parse_count(*truncate, "truncate");
+  if (keep > 0 && keep < mu.size()) mu = mu.subspan(0, keep);
 
   core::ReconstructOptions opts;
   opts.kernel = core::damping_kernel_from_string(*kernel);
   opts.lorentz_lambda = *lambda;
-  opts.points = static_cast<std::size_t>(*points);
+  opts.points = parse_count(*points, "points");
   const auto curve = core::reconstruct_dos(mu, transform, opts);
 
   std::printf("%s: D=%zu, %zu moments (engine %s), kernel %s, using %zu moments\n\n",
@@ -527,7 +534,7 @@ int cmd_slice(int argc, const char* const* argv) {
   linalg::MatrixOperator op(w.h);
   linalg::MatrixOperator op_t(w.h_tilde);
   core::FilterOptions opts;
-  opts.num_moments = static_cast<std::size_t>(*n);
+  opts.num_moments = parse_count(*n, "moments");
   const auto report = core::filter_random_state(op, op_t, w.transform, *e0, 99, 0, opts);
   std::printf("%s, filter at E = %.3f with N = %lld:\n", w.description.c_str(), *e0,
               static_cast<long long>(*n));
@@ -558,7 +565,7 @@ int cmd_ldosmap(int argc, const char* const* argv) {
   std::vector<std::size_t> sites(lat.sites());
   for (std::size_t i = 0; i < sites.size(); ++i) sites[i] = i;
   core::GpuLdosEngine engine;
-  const auto map = engine.compute(op_t, sites, static_cast<std::size_t>(*n));
+  const auto map = engine.compute(op_t, sites, parse_count(*n, "moments"));
 
   std::vector<double> values(lat.sites());
   double max_v = 0.0;
@@ -791,29 +798,27 @@ int cmd_profile(int argc, const char* const* argv) {
   }();
   linalg::MatrixOperator op(w.h_tilde);
   core::MomentParams params;
-  params.num_moments = static_cast<std::size_t>(*n);
-  params.random_vectors = static_cast<std::size_t>(*r);
-  params.realizations = static_cast<std::size_t>(*s);
+  params.num_moments = parse_count(*n, "moments");
+  params.random_vectors = parse_count(*r, "R");
+  params.realizations = parse_count(*s, "S");
+  const std::size_t chunk_instances = parse_count(*chunk_insts, "chunk-insts");
 
   ClusterFlags cluster;
-  KPM_REQUIRE(*nodes >= 1, "kpmcli profile: --nodes must be >= 1");
-  KPM_REQUIRE(*halo >= 1, "kpmcli profile: --halo must be >= 1");
-  KPM_REQUIRE(*devices >= 1, "kpmcli profile: --devices must be >= 1");
-  cluster.nodes = static_cast<std::size_t>(*nodes);
-  cluster.halo = static_cast<std::size_t>(*halo);
-  cluster.devices = static_cast<std::size_t>(*devices);
+  cluster.nodes = parse_count(*nodes, "nodes", 1);
+  cluster.halo = parse_count(*halo, "halo", 1);
+  cluster.devices = parse_count(*devices, "devices", 1);
   (void)gpusim::InterconnectSpec::from_name(*interconnect);
   cluster.interconnect = *interconnect;
 
   const auto engine = [&]() -> std::unique_ptr<core::MomentEngine> {
     if (*engine_name == "gpu-chunked") {
       core::ChunkedGpuEngineConfig cfg;
-      if (*chunk_insts > 0) {
+      if (chunk_instances > 0) {
         // Same sizing rule as bench/ablation_chunking: budget exactly the
         // per-chunk work vectors for the requested instance count.
         const std::size_t per_instance =
             4 * w.dim * sizeof(double) + params.num_moments * sizeof(double);
-        cfg.workspace_bytes = static_cast<std::size_t>(*chunk_insts) * per_instance;
+        cfg.workspace_bytes = chunk_instances * per_instance;
       }
       return std::make_unique<core::ChunkedGpuMomentEngine>(cfg);
     }
@@ -950,7 +955,7 @@ serve::SynthConfig synth_config_of(const SynthFlags& f) {
   serve::SynthConfig cfg;
   cfg.label = *f.label;
   cfg.seed = static_cast<std::uint64_t>(*f.seed);
-  cfg.count = static_cast<std::size_t>(*f.count);
+  cfg.count = parse_count(*f.count, "count");
   cfg.process = serve::arrival_process_from_string(*f.process);
   cfg.rate = *f.rate;
   cfg.burst_factor = *f.burst_factor;
@@ -960,9 +965,9 @@ serve::SynthConfig synth_config_of(const SynthFlags& f) {
   cfg.ldos_weight = *f.ldos_weight;
   cfg.sigma_weight = *f.currents ? *f.sigma_weight : 0.0;
   cfg.moment_choices = parse_size_list(*f.moments, "moments");
-  cfg.random_vectors = static_cast<std::size_t>(*f.random_vectors);
-  cfg.realizations = static_cast<std::size_t>(*f.realizations);
-  cfg.seed_population = static_cast<std::size_t>(*f.seed_population);
+  cfg.random_vectors = parse_count(*f.random_vectors, "R");
+  cfg.realizations = parse_count(*f.realizations, "S");
+  cfg.seed_population = parse_count(*f.seed_population, "seeds");
   cfg.deadline_fraction = *f.deadline_fraction;
   cfg.deadline_slack_seconds = *f.deadline_slack;
   return cfg;
@@ -985,9 +990,9 @@ serve::ModelSpec synth_model_of(const SynthFlags& f) {
 /// header line (the fingerprint line itself never mentions workers).
 std::size_t resolve_workers(std::int64_t flag_value, const serve::ReplayWorkload* workload,
                             const char** source) {
-  if (flag_value > 0) {
+  if (const std::size_t requested = parse_count(flag_value, "workers"); requested > 0) {
     *source = "flag";
-    return static_cast<std::size_t>(flag_value);
+    return requested;
   }
   if (workload != nullptr && workload->config_sets_workers) {
     *source = "workload config";
@@ -1075,10 +1080,10 @@ int cmd_fleet(int argc, const char* const* argv) {
     workload = serve::load_workload(*replay);
   } else {
     serve::ServeConfig base;
-    base.max_queue = static_cast<std::size_t>(*max_queue);
-    base.max_batch = static_cast<std::size_t>(*max_batch);
+    base.max_queue = parse_count(*max_queue, "max-queue");
+    base.max_batch = parse_count(*max_batch, "max-batch");
     base.policy = serve::shed_policy_from_string(*policy);
-    base.cache_bytes = static_cast<std::size_t>(*cache_bytes);
+    base.cache_bytes = parse_count(*cache_bytes, "cache-bytes");
     workload = serve::synthesize_workload(synth_config_of(synth), {synth_model_of(synth)},
                                           base);
     workload.config_sets_workers = false;
@@ -1089,7 +1094,7 @@ int cmd_fleet(int argc, const char* const* argv) {
   config.shard_config = workload.config;
   config.shard_config.workers = resolve_workers(*workers, &workload, &workers_source);
   config.shard_config.cache_policy = serve::cache_policy_from_string(*cache_policy);
-  config.ring.virtual_nodes = static_cast<std::size_t>(*vnodes);
+  config.ring.virtual_nodes = parse_count(*vnodes, "vnodes");
   if (*ring_seed != 0) config.ring.seed = static_cast<std::uint64_t>(*ring_seed);
   config.slo_seconds = *slo;
   for (std::int64_t i = 0; i < *shards; ++i) {
