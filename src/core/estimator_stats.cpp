@@ -21,16 +21,16 @@ MomentStatistics estimate_moment_statistics(const linalg::MatrixOperator& h_tild
   // Per-instance normalized moments: mu_n^(k) = <r0|r_n> / D, accumulated
   // in instance order.
   std::vector<double> sum(n, 0.0), sum_sq(n, 0.0);
-  detail::RecursionWorkspace ws;
-  detail::run_groups(
-      h_tilde, instances, params.block_r, n, detail::DotPolicy::Single,
-      detail::random_start(params), ws, [&](std::span<const double> row) {
-        for (std::size_t k = 0; k < n; ++k) {
-          const double v = row[k] / static_cast<double>(d);
-          sum[k] += v;
-          sum_sq[k] += v * v;
-        }
-      });
+  detail::FlatVectors<double> ws;
+  detail::FlatSpace<double> space(h_tilde, detail::random_start(params), ws);
+  detail::run_groups(std::span(&space, 1), nullptr, instances, params.block_r, n,
+                     [&](std::span<const double> row) {
+                       for (std::size_t k = 0; k < n; ++k) {
+                         const double v = row[k] / static_cast<double>(d);
+                         sum[k] += v;
+                         sum_sq[k] += v * v;
+                       }
+                     });
 
   MomentStatistics stats;
   stats.instances = instances;

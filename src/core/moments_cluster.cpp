@@ -1,17 +1,17 @@
 #include "core/moments_cluster.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
 #include "core/group_recursion.hpp"
 #include "core/moments_cpu.hpp"
 #include "cpumodel/roofline.hpp"
 #include "gpusim/cost_model.hpp"
 #include "linalg/shard.hpp"
-#include "obs/parallel.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "rng/distributions.hpp"
@@ -19,154 +19,97 @@
 namespace kpm::core {
 namespace {
 
-/// Per-lane state of one blocked sharded recursion: four working vectors
-/// per shard (owned rows + ghost slots, interleaved block layout) plus the
-/// block-dot scratch.  Ragged final groups use b * working_size prefixes.
-struct ShardWorkspace {
-  std::size_t block;
-  std::vector<std::vector<double>> r0, prev2, prev, next;
-  std::vector<double> acc;
-  std::vector<linalg::DotLanes> lanes;
+/// Per-shard working vectors (owned rows + ghost slots, interleaved block
+/// layout), one per node.
+using ShardVectors = std::vector<std::vector<double>>;
 
-  ShardWorkspace(const linalg::ShardedMatrix& sm, std::size_t b)
-      : block(b), acc(b), lanes(b) {
-    const std::size_t nodes = sm.nodes();
-    r0.resize(nodes);
-    prev2.resize(nodes);
-    prev.resize(nodes);
-    next.resize(nodes);
-    for (std::size_t p = 0; p < nodes; ++p) {
-      const std::size_t len = sm.shard(p).working_size() * b;
-      r0[p].assign(len, 0.0);
-      prev2[p].assign(len, 0.0);
-      prev[p].assign(len, 0.0);
-      next[p].assign(len, 0.0);
+/// The sharded space of the host recursion: the flat recursion's four
+/// vectors kept per shard, a ghost exchange after every write (start, r1 and
+/// each step), per-member dots whose four canonical lanes are carried
+/// through the shards in node order (bit-identical to linalg::block_dot on
+/// the assembled vectors), and meters of the GLOBAL flat pass (the counters
+/// are partition-invariant by construction).  Each step is the unfused
+/// shard multiply + combine + lane-carry dot, bit-identical to the flat
+/// fused step by the fused kernels' own contract.
+class ShardedSpace {
+ public:
+  /// Fills the owned slots of every shard's r0 for the group at `first`.
+  using Fill = std::function<void(std::size_t first, std::size_t b, ShardVectors& r0)>;
+
+  ShardedSpace(const linalg::ShardedMatrix& sm, const linalg::MatrixOperator& op, Fill fill)
+      : sm_(&sm), op_(&op), fill_(std::move(fill)) {}
+
+  [[nodiscard]] bool fits(std::size_t width) const { return width_ == width; }
+  void release() { *this = ShardedSpace(*sm_, *op_, fill_); }
+  void fit(std::size_t width) {
+    if (fits(width)) return;
+    release();
+    for (ShardVectors* v : {&r0_, &prev2_, &prev_, &next_}) {
+      v->resize(sm_->nodes());
+      for (std::size_t p = 0; p < sm_->nodes(); ++p)
+        (*v)[p].assign(sm_->shard(p).working_size() * width, 0.0);
     }
+    acc_.resize(width);
+    dots_.resize(width);
+    lanes_.resize(width);
+    width_ = width;
   }
+
+  void start(std::size_t first, std::size_t b) {
+    fill_(first, b, r0_);
+    sm_->exchange_ghosts(r0_, b);
+  }
+  std::span<const double> dot_r0(std::size_t b) {
+    detail::meter_member_dots<double>(op_->dim(), b);
+    return dots(r0_, b);
+  }
+  std::span<const double> dot_r1(std::size_t b) {
+    detail::meter_member_dots<double>(op_->dim(), b);
+    return dots(prev_, b);
+  }
+  void multiply_r1(std::size_t b) {
+    sm_->multiply_block(b, r0_, prev_, acc_);
+    linalg::meter_spmmv_pass(*op_, b);
+    sm_->exchange_ghosts(prev_, b);
+  }
+  void copy_r0(std::size_t b) {
+    for (std::size_t p = 0; p < sm_->nodes(); ++p)
+      std::copy_n(r0_[p].begin(), sm_->shard(p).working_size() * b, prev2_[p].begin());
+    obs::meter_stream_bytes(2.0 * static_cast<double>(op_->dim() * b) * sizeof(double));
+  }
+  std::span<const double> step(std::size_t b) {
+    sm_->multiply_block(b, prev_, next_, acc_);
+    sm_->combine(next_, prev2_, b);
+    linalg::meter_combine_dot_pass(*op_, b);
+    sm_->exchange_ghosts(next_, b);
+    return dots(next_, b);
+  }
+  void rotate() {
+    std::swap(prev2_, prev_);
+    std::swap(prev_, next_);
+  }
+
+ private:
+  /// Per-member <r0_j | x_j> over the distributed vectors.
+  std::span<const double> dots(const ShardVectors& x, std::size_t b) {
+    const std::span<double> out(dots_.data(), b);
+    sm_->block_dot(r0_, x, b, lanes_, out);
+    return out;
+  }
+
+  const linalg::ShardedMatrix* sm_;
+  const linalg::MatrixOperator* op_;
+  Fill fill_;
+  std::size_t width_ = 0;
+  ShardVectors r0_, prev2_, prev_, next_;
+  std::vector<double> acc_, dots_;
+  std::vector<linalg::DotLanes> lanes_;
 };
 
-/// The simulated halo exchange: copies every ghost slot's value from its
-/// owner's owned slot, for all shards.  Ordering is irrelevant — values
-/// are copied, never combined.
-void exchange_ghosts(const linalg::ShardedMatrix& sm, std::vector<std::vector<double>>& v,
-                     std::size_t b) {
-  for (std::size_t p = 0; p < sm.nodes(); ++p) {
-    const linalg::MatrixShard& s = sm.shard(p);
-    for (std::size_t gi = 0; gi < s.ghost_rows.size(); ++gi) {
-      const linalg::GhostSource src = s.ghost_sources[gi];
-      const std::vector<double>& from = v[src.owner];
-      const std::size_t src_slot = sm.shard(src.owner).owned_offset() + src.local_row;
-      const std::size_t dst_slot = s.ghost_position(gi);
-      for (std::size_t j = 0; j < b; ++j) v[p][dst_slot * b + j] = from[src_slot * b + j];
-    }
-  }
-}
-
-/// Per-member dots <x_j | y_j> over the full distributed vectors: the four
-/// canonical lanes are carried through the shards in node order and
-/// combined once per member — bit-identical to linalg::block_dot on the
-/// assembled global vectors.
-void sharded_block_dot(const linalg::ShardedMatrix& sm,
-                       const std::vector<std::vector<double>>& x,
-                       const std::vector<std::vector<double>>& y, std::size_t b,
-                       std::span<linalg::DotLanes> lanes) {
-  for (std::size_t j = 0; j < b; ++j) lanes[j] = linalg::DotLanes{};
-  for (std::size_t p = 0; p < sm.nodes(); ++p) {
-    const linalg::MatrixShard& s = sm.shard(p);
-    const std::size_t off = s.owned_offset() * b;
-    const std::size_t len = s.local_rows() * b;
-    linalg::block_dot_lanes_carry(std::span<const double>(x[p].data() + off, len),
-                                  std::span<const double>(y[p].data() + off, len), b,
-                                  s.row_begin, lanes);
-  }
-}
-
-/// One blocked sharded recursion over instances [first, first + b): the
-/// sharded mirror of moments_cpu's accumulate_group, metering the same
-/// GLOBAL totals (the counters are partition-invariant by construction).
-/// `fill_r0` fills the owned slots of every shard's r0 working vector.
-template <typename Fill>
-void accumulate_sharded_group(const linalg::ShardedMatrix& sm,
-                              const linalg::MatrixOperator& op, std::size_t b, Fill&& fill_r0,
-                              std::size_t n, std::span<double> mu_rows, ShardWorkspace& ws) {
-  const std::size_t d = op.dim();
-  const auto dd = static_cast<double>(d);
-  const auto bb = static_cast<double>(b);
-  const std::size_t nodes = sm.nodes();
-  const auto owned = [&](std::vector<std::vector<double>>& v, std::size_t p) {
-    const linalg::MatrixShard& s = sm.shard(p);
-    return std::span<double>(v[p].data() + s.owned_offset() * b, s.local_rows() * b);
-  };
-  const auto working = [&](std::vector<std::vector<double>>& v, std::size_t p) {
-    return std::span<const double>(v[p].data(), sm.shard(p).working_size() * b);
-  };
-  const std::span<double> acc(ws.acc.data(), b);
-  const std::span<linalg::DotLanes> lanes(ws.lanes.data(), b);
-
-  obs::add(obs::Counter::InstancesExecuted, bb);
-  fill_r0(ws.r0);
-  exchange_ghosts(sm, ws.r0, b);
-
-  // mu~_0 = <r0 | r0>.
-  sharded_block_dot(sm, ws.r0, ws.r0, b, lanes);
-  for (std::size_t j = 0; j < b; ++j) {
-    mu_rows[j * n] += lanes[j].combine();
-    obs::meter_dot(d);
-  }
-
-  // r1 = H~ r0, shard-local after the halo exchange above.  Metered like
-  // linalg::spmmv_multiply on the global operator.
-  for (std::size_t p = 0; p < nodes; ++p)
-    sm.shard_multiply_block(p, b, working(ws.r0, p), owned(ws.prev, p), acc);
-  obs::add(obs::Counter::SpmvCalls, bb);
-  obs::add(obs::Counter::Flops, bb * static_cast<double>(op.spmv_flops()));
-  obs::add(obs::Counter::BytesStreamed,
-           static_cast<double>(op.spmv_matrix_bytes()) + 2.0 * bb * dd * sizeof(double));
-  exchange_ghosts(sm, ws.prev, b);
-
-  if (n > 1) {
-    sharded_block_dot(sm, ws.r0, ws.prev, b, lanes);
-    for (std::size_t j = 0; j < b; ++j) {
-      mu_rows[j * n + 1] += lanes[j].combine();
-      obs::meter_dot(d);
-    }
-  }
-  for (std::size_t p = 0; p < nodes; ++p) {
-    const std::size_t len = sm.shard(p).working_size() * b;
-    std::copy(ws.r0[p].begin(), ws.r0[p].begin() + static_cast<std::ptrdiff_t>(len),
-              ws.prev2[p].begin());
-  }
-  obs::meter_stream_bytes(2.0 * dd * bb * sizeof(double));
-
-  for (std::size_t k = 2; k < n; ++k) {
-    // Unfused multiply + combine + lane-carry dot: bit-identical to the
-    // serial engine's fused step by the fused kernels' own contract.
-    for (std::size_t p = 0; p < nodes; ++p)
-      sm.shard_multiply_block(p, b, working(ws.prev, p), owned(ws.next, p), acc);
-    for (std::size_t p = 0; p < nodes; ++p) {
-      const linalg::MatrixShard& s = sm.shard(p);
-      const std::size_t off = s.owned_offset() * b;
-      const std::size_t len = s.local_rows() * b;
-      double* nx = ws.next[p].data() + off;
-      const double* p2 = ws.prev2[p].data() + off;
-      for (std::size_t i = 0; i < len; ++i) nx[i] = 2.0 * nx[i] - p2[i];
-    }
-    sharded_block_dot(sm, ws.r0, ws.next, b, lanes);
-    for (std::size_t j = 0; j < b; ++j) mu_rows[j * n + k] += lanes[j].combine();
-    // Metered exactly like one fused spmmv_combine_dot pass.
-    const double bytes =
-        static_cast<double>(op.spmv_matrix_bytes()) + 4.0 * bb * dd * sizeof(double);
-    obs::add(obs::Counter::SpmvCalls, bb);
-    obs::add(obs::Counter::DotCalls, bb);
-    obs::add(obs::Counter::FusedCalls, 1.0);
-    obs::add(obs::Counter::Flops,
-             bb * (static_cast<double>(op.spmv_flops()) + 4.0 * dd));
-    obs::add(obs::Counter::BytesStreamed, bytes);
-    obs::add(obs::Counter::FusedBytes, bytes);
-    exchange_ghosts(sm, ws.next, b);
-    std::swap(ws.prev2, ws.prev);
-    std::swap(ws.prev, ws.next);
-  }
+/// H~ split by `dec`; SELL operators keep SELL shards, others shard CRS.
+linalg::ShardedMatrix shard(const linalg::MatrixOperator& h, const linalg::Decomposition& dec) {
+  return linalg::ShardedMatrix(
+      h, dec, h.storage() == linalg::Storage::Sell ? linalg::Storage::Sell : linalg::Storage::Crs);
 }
 
 /// RNG fill of the owned slots with the members' GLOBAL instance streams:
@@ -174,8 +117,7 @@ void accumulate_sharded_group(const linalg::ShardedMatrix& sm,
 /// element index = global row — the same values fill_random_vector_block
 /// produces, laid out shard by shard.
 void fill_sharded_block(const linalg::ShardedMatrix& sm, const MomentParams& params,
-                        std::size_t first, std::size_t b,
-                        std::vector<std::vector<double>>& r0) {
+                        std::size_t first, std::size_t b, ShardVectors& r0) {
   for (std::size_t p = 0; p < sm.nodes(); ++p) {
     const linalg::MatrixShard& s = sm.shard(p);
     for (std::size_t lr = 0; lr < s.local_rows(); ++lr) {
@@ -419,12 +361,9 @@ MomentResult ClusterMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
   if (specs.empty()) specs.assign(dec.nodes(), ClusterNodeSpec::cpu_node());
   KPM_REQUIRE(specs.size() == dec.nodes(),
               "ClusterMomentEngine: node spec count does not match the decomposition");
-  const linalg::Storage shard_storage =
-      h_tilde.storage() == linalg::Storage::Sell ? linalg::Storage::Sell : linalg::Storage::Crs;
-  const linalg::ShardedMatrix sm(h_tilde, dec, shard_storage);
+  const linalg::ShardedMatrix sm = shard(h_tilde, dec);
 
   const std::size_t block = params.block_r;
-  const std::size_t groups = (executed + block - 1) / block;
 
   // Stable span name (no node/thread suffix): deterministic fingerprints of
   // a fixed decomposition must not depend on the host thread count.
@@ -432,68 +371,25 @@ MomentResult ClusterMomentEngine::compute(const linalg::MatrixOperator& h_tilde,
   obs::add(obs::Counter::MomentsProduced, static_cast<double>(n));
   Stopwatch wall;
   std::vector<double> mu_sum(n, 0.0);
-  const bool serial_path = config_.threads == 1 || groups == 1;
   // Serial-reference per-instance modeled ticks (Core i7-930, like every
   // other engine) — deliberately independent of node specs, P and threads,
   // so histograms are invariant across every cluster configuration.
   const std::uint64_t instance_ticks = detail::instance_model_ticks(
       cpumodel::CpuSpec::core_i7_930(), h_tilde, n, block, detail::DotPolicy::Single);
 
-  const auto run_group = [&](std::size_t g, ShardWorkspace& ws, std::span<double> rows) {
-    const std::size_t first = g * block;
-    const std::size_t b = std::min(block, executed - first);
-    accumulate_sharded_group(
-        sm, h_tilde, b,
-        [&](std::vector<std::vector<double>>& r0) {
-          fill_sharded_block(sm, params, first, b, r0);
-        },
-        n, rows, ws);
-    for (std::size_t j = 0; j < b; ++j) obs::record(obs::Histo::InstanceModelNs, instance_ticks);
-  };
+  // Groups are placed like CpuParallelMomentEngine's: the same
+  // thread-invariance contract, one sharded space per lane.
+  std::vector<ShardedSpace> lanes(
+      static_cast<std::size_t>(config_.threads),
+      ShardedSpace(sm, h_tilde, [&](std::size_t first, std::size_t b, ShardVectors& r0) {
+        fill_sharded_block(sm, params, first, b, r0);
+      }));
+  const int threads_used = detail::run_instances(std::span(lanes), &pool_, executed, block,
+                                                 instance_ticks, mu_sum);
 
-  if (serial_path) {
-    ShardWorkspace ws(sm, block);
-    std::vector<double> rows(block * n);
-    for (std::size_t g = 0; g < groups; ++g) {
-      std::fill(rows.begin(), rows.end(), 0.0);
-      run_group(g, ws, rows);
-      const std::size_t b = std::min(block, executed - g * block);
-      for (std::size_t j = 0; j < b; ++j) {
-        const double* row = rows.data() + j * n;
-        for (std::size_t k = 0; k < n; ++k) mu_sum[k] += row[k];
-      }
-    }
-  } else {
-    if (!pool_ || pool_->size() != static_cast<std::size_t>(config_.threads))
-      pool_ = std::make_unique<common::ThreadPool>(static_cast<std::size_t>(config_.threads));
-    // Instance-major contribution rows, summed in instance order below —
-    // the same thread-invariance contract as CpuParallelMomentEngine.
-    std::vector<double> contributions(executed * n, 0.0);
-    obs::sharded_parallel_for(
-        *pool_, groups, [&](std::size_t /*lane*/, std::size_t begin, std::size_t end) {
-          ShardWorkspace ws(sm, block);
-          const std::span<double> rows(contributions);
-          for (std::size_t g = begin; g < end; ++g) {
-            const std::size_t first = g * block;
-            const std::size_t b = std::min(block, executed - first);
-            run_group(g, ws, rows.subspan(first * n, b * n));
-          }
-        });
-    for (std::size_t inst = 0; inst < executed; ++inst) {
-      const double* row = contributions.data() + inst * n;
-      for (std::size_t k = 0; k < n; ++k) mu_sum[k] += row[k];
-    }
-  }
-
-  MomentResult result;
-  result.engine = name();
-  result.instances_executed = executed;
-  result.instances_total = total;
-  result.threads_used = serial_path ? 1 : config_.threads;
-  result.wall_seconds = wall.seconds();
-  result.mu.resize(n);
-  const double denom = static_cast<double>(d) * static_cast<double>(executed);
-  for (std::size_t k = 0; k < n; ++k) result.mu[k] = mu_sum[k] / denom;
+  MomentResult result =
+      detail::averaged_result(name(), mu_sum, d, executed, total, wall.seconds());
+  result.threads_used = threads_used;
 
   // Cost model, extrapolated to all `total` instances: full groups of
   // `block` plus one ragged group.
@@ -539,40 +435,14 @@ std::vector<double> cluster_ldos_moments(const linalg::MatrixOperator& h_tilde,
               "cluster_ldos_moments: decomposition does not match the operator");
   obs::ScopedSpan span("ldos.cluster-sharded");
   obs::add(obs::Counter::MomentsProduced, static_cast<double>(num_moments));
-  const linalg::Storage shard_storage =
-      h_tilde.storage() == linalg::Storage::Sell ? linalg::Storage::Sell : linalg::Storage::Crs;
-  const linalg::ShardedMatrix sm(h_tilde, dec, shard_storage);
-  std::vector<double> mu(num_moments, 0.0);
-
-  const auto fill_unit = [&](std::vector<std::vector<double>>& r0) {
+  const linalg::ShardedMatrix sm = shard(h_tilde, dec);
+  ShardedSpace space(sm, h_tilde, [&](std::size_t, std::size_t, ShardVectors& r0) {
     for (auto& v : r0) std::fill(v.begin(), v.end(), 0.0);
     const std::size_t owner = dec.owner_of(site);
     const linalg::MatrixShard& s = sm.shard(owner);
     r0[owner][s.owned_offset() + (site - s.row_begin)] = 1.0;
-  };
-
-  if (num_moments == 1) {
-    // Degenerate n = 1: just mu_0 = <e|e> (mirrors ldos_moments' early out).
-    ShardWorkspace ws(sm, 1);
-    fill_unit(ws.r0);
-    obs::add(obs::Counter::InstancesExecuted, 1.0);
-    obs::meter_stream_bytes(2.0 * static_cast<double>(h_tilde.dim()) * sizeof(double));
-    linalg::DotLanes lanes;
-    for (std::size_t p = 0; p < sm.nodes(); ++p) {
-      const linalg::MatrixShard& s = sm.shard(p);
-      linalg::dot_lanes_carry(
-          std::span<const double>(ws.r0[p].data() + s.owned_offset(), s.local_rows()),
-          std::span<const double>(ws.r0[p].data() + s.owned_offset(), s.local_rows()),
-          s.row_begin, lanes);
-    }
-    mu[0] = lanes.combine();
-    obs::meter_dot(h_tilde.dim());
-    return mu;
-  }
-
-  ShardWorkspace ws(sm, 1);
-  accumulate_sharded_group(sm, h_tilde, 1, fill_unit, num_moments, mu, ws);
-  return mu;
+  });
+  return detail::summed_rows(space, 1, 1, num_moments);
 }
 
 }  // namespace kpm::core

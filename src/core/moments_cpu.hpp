@@ -30,7 +30,8 @@ class ThreadPool;
 namespace kpm::core {
 
 namespace detail {
-struct RecursionWorkspace;
+template <typename T>
+struct FlatVectors;
 }
 
 /// Serial reference engine (one moment per SpMV).
@@ -97,10 +98,10 @@ class CpuParallelMomentEngine final : public MomentEngine {
   int threads_;
   cpumodel::CpuSpec spec_;
   std::unique_ptr<common::ThreadPool> pool_;  ///< lazily created, reused across computes
-  /// One recursion workspace per pool lane (4 * block * dim doubles each),
-  /// reused across computes and reallocated only when dim or block changes;
-  /// held until the engine is destroyed.
-  std::vector<detail::RecursionWorkspace> workspaces_;
+  /// One recursion workspace per pool lane (4 * min(block, instances) * dim
+  /// doubles each), reused across computes and reallocated only when its
+  /// shape changes; held until the engine is destroyed.
+  std::vector<detail::FlatVectors<double>> workspaces_;
 };
 
 /// Shared helper: fills `r0` with the instance's random vector elements

@@ -1,129 +1,19 @@
 #include "core/moments_hermitian.hpp"
 
-#include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
+#include "core/group_recursion.hpp"
 #include "core/moments_cpu.hpp"
-#include "linalg/fused_kernels.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "rng/distributions.hpp"
 
 namespace kpm::core {
-namespace {
 
-using Complex = std::complex<double>;
-
-/// Blocked complex multiply y_j = H x_j on the interleaved block layout
-/// (one matrix stream for the whole group); per-member accumulation order
-/// matches CrsMatrixZ::multiply.  Meters b products over one stream.
-void spmmv_z(const linalg::CrsMatrixZ& h, std::size_t b, std::span<const Complex> x,
-             std::span<Complex> y) {
-  const std::size_t rows = h.rows();
-  const auto row_ptr = h.row_ptr();
-  const auto col_idx = h.col_idx();
-  const auto values = h.values();
-  std::vector<Complex> acc(b);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::fill(acc.begin(), acc.end(), Complex{0.0, 0.0});
-    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      const Complex v = values[kk];
-      const Complex* xc = x.data() + static_cast<std::size_t>(col_idx[kk]) * b;
-      for (std::size_t j = 0; j < b; ++j) acc[j] += v * xc[j];
-    }
-    Complex* yr = y.data() + r * b;
-    for (std::size_t j = 0; j < b; ++j) yr[j] = acc[j];
-  }
-  obs::add(obs::Counter::SpmvCalls, static_cast<double>(b));
-  obs::add(obs::Counter::Flops, static_cast<double>(b) * 8.0 * static_cast<double>(h.nnz()));
-  obs::add(obs::Counter::BytesStreamed,
-           static_cast<double>(h.nnz() * (sizeof(Complex) + sizeof(linalg::CrsMatrixZ::Index)) +
-                               (h.rows() + 1) * sizeof(linalg::CrsMatrixZ::Index)) +
-               2.0 * static_cast<double>(b) * static_cast<double>(h.rows()) * sizeof(Complex));
-}
-
-/// Runs a group of `b` instances' complex recursions in one blocked pass,
-/// adding member j's Re<r0_j|r_n_j> into mu_rows[j*n, j*n + n).  B = 1 is
-/// a one-member group; each member's arithmetic is the per-vector complex
-/// recursion's, so results do not depend on b.
-void hermitian_group(const linalg::CrsMatrixZ& h, std::size_t b, std::span<const Complex> r0,
-                     std::vector<Complex>& prev2, std::vector<Complex>& prev,
-                     std::vector<Complex>& next, std::size_t n, std::span<double> mu_rows) {
-  const std::size_t d = h.rows();
-  const double dd = static_cast<double>(d);
-  // Per-member single-lane left fold, matching spmmv_combine_dot_re.
-  auto block_dot_re = [&](std::span<const Complex> v, std::size_t j) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < d; ++i)
-      acc += (std::conj(r0[i * b + j]) * v[i * b + j]).real();
-    return acc;
-  };
-  const auto meter_dot_re = [&] {
-    obs::add(obs::Counter::DotCalls, 1.0);
-    obs::add(obs::Counter::Flops, 4.0 * dd);
-    obs::add(obs::Counter::BytesStreamed, 2.0 * dd * sizeof(Complex));
-  };
-
-  obs::add(obs::Counter::InstancesExecuted, static_cast<double>(b));
-  for (std::size_t j = 0; j < b; ++j) {
-    mu_rows[j * n] += block_dot_re(r0, j);
-    meter_dot_re();
-  }
-  if (n == 1) return;
-  const std::size_t len = d * b;
-  spmmv_z(h, b, r0, std::span<Complex>(prev.data(), len));
-  for (std::size_t j = 0; j < b; ++j) {
-    mu_rows[j * n + 1] += block_dot_re(std::span<const Complex>(prev.data(), len), j);
-    meter_dot_re();
-  }
-  std::copy(r0.begin(), r0.end(), prev2.begin());
-  obs::meter_stream_bytes(2.0 * static_cast<double>(len) * sizeof(Complex));
-  std::vector<double> dots(b);
-  for (std::size_t k = 2; k < n; ++k) {
-    linalg::spmmv_combine_dot_re(h, b, std::span<const Complex>(prev.data(), len),
-                                 std::span<const Complex>(prev2.data(), len), r0,
-                                 std::span<Complex>(next.data(), len), dots);
-    for (std::size_t j = 0; j < b; ++j) mu_rows[j * n + k] += dots[j];
-    std::swap(prev2, prev);
-    std::swap(prev, next);
-  }
-}
-
-/// Runs `count` recursions in groups of `block`, `start(first, b, r0)`
-/// writing each group's interleaved start vectors, and returns the member
-/// rows summed in instance order.
-template <typename Start>
-std::vector<double> sum_hermitian_groups(const linalg::CrsMatrixZ& h, std::size_t count,
-                                         std::size_t block, std::size_t n, Start&& start) {
-  const std::size_t d = h.rows();
-  std::vector<Complex> r0(d * block), prev2(d * block), prev(d * block), next(d * block);
-  std::vector<double> rows(block * n), mu(n, 0.0);
-  for (std::size_t first = 0; first < count; first += block) {
-    const std::size_t b = std::min(block, count - first);
-    const std::span<Complex> r0_group(r0.data(), d * b);
-    start(first, b, r0_group);
-    std::fill(rows.begin(), rows.end(), 0.0);
-    hermitian_group(h, b, r0_group, prev2, prev, next, n, rows);
-    for (std::size_t j = 0; j < b; ++j) {
-      const double* row = rows.data() + j * n;
-      for (std::size_t k = 0; k < n; ++k) mu[k] += row[k];
-    }
-  }
-  return mu;
-}
-
-/// Unit basis vectors: member j of the group starting at `first` is
-/// |first + j>.
-void unit_start(std::size_t first, std::size_t b, std::span<Complex> r0) {
-  std::fill(r0.begin(), r0.end(), Complex{0.0, 0.0});
-  for (std::size_t j = 0; j < b; ++j) r0[(first + j) * b + j] = Complex{1.0, 0.0};
-}
-
-}  // namespace
+using detail::Complex;
 
 MomentResult HermitianMomentEngine::compute(const linalg::CrsMatrixZ& h_tilde,
                                             const MomentParams& params,
@@ -140,24 +30,11 @@ MomentResult HermitianMomentEngine::compute(const linalg::CrsMatrixZ& h_tilde,
   Stopwatch wall;
   // Groups of `block` instances share each matrix stream; member rows are
   // summed in instance order (bit-identical for any block size).
-  const std::vector<double> mu_sum = sum_hermitian_groups(
-      h_tilde, executed, params.block_r, n,
-      [&](std::size_t first, std::size_t b, std::span<Complex> r0) {
-        obs::add(obs::Counter::RngElements, static_cast<double>(d * b));
-        for (std::size_t j = 0; j < b; ++j)
-          for (std::size_t i = 0; i < d; ++i)
-            r0[i * b + j] = Complex{
-                rng::draw_random_element(params.vector_kind, params.seed, first + j, i), 0.0};
-      });
+  const std::vector<double> mu_sum = detail::summed_flat_rows<Complex>(
+      h_tilde, detail::random_start<Complex>(params), executed, params.block_r, n);
 
-  MomentResult result;
-  result.engine = name();
-  result.instances_executed = executed;
-  result.instances_total = total;
-  result.wall_seconds = wall.seconds();
-  result.mu.resize(n);
-  const double denom = static_cast<double>(d) * static_cast<double>(executed);
-  for (std::size_t k = 0; k < n; ++k) result.mu[k] = mu_sum[k] / denom;
+  MomentResult result =
+      detail::averaged_result(name(), mu_sum, d, executed, total, wall.seconds());
   // No platform model for the complex path (extension feature): report the
   // host wall-clock as the model time.
   result.model_seconds = result.wall_seconds;
@@ -170,10 +47,11 @@ std::vector<double> ldos_moments_hermitian(const linalg::CrsMatrixZ& h_tilde, st
   KPM_REQUIRE(h_tilde.rows() == h_tilde.cols(), "ldos_moments_hermitian: matrix must be square");
   KPM_REQUIRE(site < h_tilde.rows(), "ldos_moments_hermitian: site out of range");
   KPM_REQUIRE(num_moments >= 1, "ldos_moments_hermitian: need at least one moment");
-  return sum_hermitian_groups(h_tilde, 1, 1, num_moments,
-                              [site](std::size_t, std::size_t, std::span<Complex> r0) {
-                                unit_start(site, 1, r0);
-                              });
+  return detail::summed_flat_rows<Complex>(
+      h_tilde, [site](std::size_t, std::size_t, std::span<Complex> r0) {
+        detail::unit_start(site, 1, r0);
+      },
+      1, 1, num_moments);
 }
 
 std::vector<double> deterministic_trace_moments_hermitian(const linalg::CrsMatrixZ& h_tilde,
@@ -184,7 +62,8 @@ std::vector<double> deterministic_trace_moments_hermitian(const linalg::CrsMatri
   KPM_REQUIRE(block >= 1, "deterministic_trace_moments_hermitian: block must be >= 1");
   // Blocked basis sweep: `block` unit vectors share each matrix stream.
   const std::size_t d = h_tilde.rows();
-  std::vector<double> mu = sum_hermitian_groups(h_tilde, d, block, num_moments, unit_start);
+  std::vector<double> mu = detail::summed_flat_rows<Complex>(
+      h_tilde, detail::unit_start<Complex>, d, block, num_moments);
   for (double& m : mu) m /= static_cast<double>(d);
   return mu;
 }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "obs/counters.hpp"
@@ -13,16 +13,18 @@ namespace {
 // Records one fused spmv+combine+dot pass of `block` vectors into the
 // active obs sink.  The flop/byte model matches core::fused_step_workload
 // exactly (ONE matrix stream plus (3 + dots) streamed vectors of
-// `element_bytes` each PER MEMBER), which is what lets tests cross-check
+// `element_bytes` each PER MEMBER; the combine and each dot cost
+// `element_flops` per element), which is what lets tests cross-check
 // measured counters against the roofline prediction.  SpmvCalls/DotCalls
 // count logical per-member products; FusedCalls counts passes.
 void meter_fused(std::size_t spmv_flops, std::size_t matrix_bytes, std::size_t dim,
-                 std::size_t dots, double element_bytes, std::size_t block) {
+                 std::size_t dots, double element_bytes, std::size_t block,
+                 double element_flops = 2.0) {
   if (obs::active_counters() == nullptr) return;
   const double d = static_cast<double>(dim);
   const double b = static_cast<double>(block);
-  const double flops = b * (static_cast<double>(spmv_flops) + 2.0 * d +
-                            2.0 * d * static_cast<double>(dots));
+  const double flops = b * (static_cast<double>(spmv_flops) + element_flops * d +
+                            element_flops * d * static_cast<double>(dots));
   const double bytes = static_cast<double>(matrix_bytes) +
                        (3.0 + static_cast<double>(dots)) * b * d * element_bytes;
   obs::add(obs::Counter::SpmvCalls, b);
@@ -34,16 +36,16 @@ void meter_fused(std::size_t spmv_flops, std::size_t matrix_bytes, std::size_t d
 }
 
 // Records one plain blocked multiply (no combine, no dot): B products over
-// a single matrix stream plus the x read and y write per member.
-void meter_spmmv(std::size_t spmv_flops, std::size_t matrix_bytes, std::size_t dim,
-                 std::size_t block) {
+// a single matrix stream of `matrix_bytes` plus the x read and y write of
+// `element_bytes` elements per member.
+void meter_spmmv(std::size_t spmv_flops, double matrix_bytes, std::size_t dim,
+                 std::size_t block, double element_bytes) {
   if (obs::active_counters() == nullptr) return;
   const double d = static_cast<double>(dim);
   const double b = static_cast<double>(block);
   obs::add(obs::Counter::SpmvCalls, b);
   obs::add(obs::Counter::Flops, b * static_cast<double>(spmv_flops));
-  obs::add(obs::Counter::BytesStreamed,
-           static_cast<double>(matrix_bytes) + 2.0 * b * d * sizeof(double));
+  obs::add(obs::Counter::BytesStreamed, matrix_bytes + 2.0 * b * d * element_bytes);
 }
 
 // Per-storage cost of one matrix stream: SpMV flops per product and the
@@ -51,6 +53,7 @@ void meter_spmmv(std::size_t spmv_flops, std::size_t matrix_bytes, std::size_t d
 [[nodiscard]] std::size_t spmv_flops(const CrsMatrix& a) { return 2 * a.nnz(); }
 [[nodiscard]] std::size_t spmv_flops(const SellMatrix& a) { return 2 * a.nnz(); }
 [[nodiscard]] std::size_t spmv_flops(const DenseMatrix& a) { return 2 * a.rows() * a.cols(); }
+[[nodiscard]] std::size_t spmv_flops(const CrsMatrixZ& a) { return 8 * a.nnz(); }
 
 [[nodiscard]] std::size_t matrix_bytes(const CrsMatrix& a) {
   return a.nnz() * (sizeof(double) + sizeof(CrsMatrix::Index)) +
@@ -59,6 +62,10 @@ void meter_spmmv(std::size_t spmv_flops, std::size_t matrix_bytes, std::size_t d
 [[nodiscard]] std::size_t matrix_bytes(const SellMatrix& a) { return a.spmv_matrix_bytes(); }
 [[nodiscard]] std::size_t matrix_bytes(const DenseMatrix& a) {
   return a.rows() * a.cols() * sizeof(double);
+}
+[[nodiscard]] std::size_t matrix_bytes(const CrsMatrixZ& a) {
+  return a.nnz() * (sizeof(std::complex<double>) + sizeof(CrsMatrixZ::Index)) +
+         (a.rows() + 1) * sizeof(CrsMatrixZ::Index);
 }
 
 void require_pass_preconditions(const char* what, std::size_t rows, std::size_t cols,
@@ -83,11 +90,12 @@ void require_pass_preconditions(const char* what, std::size_t rows, std::size_t 
 // (sorted columns), which keeps per-row accumulation bit-identical across
 // storages.  `row_entries(r, f)` calls f(value, col) per stored entry.
 
+template <typename Matrix, typename Value>
 struct CrsAccess {
-  std::span<const CrsMatrix::Index> row_ptr, col_idx;
-  std::span<const double> values;
+  std::span<const typename Matrix::Index> row_ptr, col_idx;
+  std::span<const Value> values;
 
-  explicit CrsAccess(const CrsMatrix& a)
+  explicit CrsAccess(const Matrix& a)
       : row_ptr(a.row_ptr()), col_idx(a.col_idx()), values(a.values()) {}
 
   template <typename F>
@@ -134,7 +142,12 @@ struct DenseAccess {
   }
 };
 
-[[nodiscard]] CrsAccess row_access(const CrsMatrix& a) { return CrsAccess(a); }
+[[nodiscard]] CrsAccess<CrsMatrix, double> row_access(const CrsMatrix& a) {
+  return CrsAccess<CrsMatrix, double>(a);
+}
+[[nodiscard]] CrsAccess<CrsMatrixZ, std::complex<double>> row_access(const CrsMatrixZ& a) {
+  return CrsAccess<CrsMatrixZ, std::complex<double>>(a);
+}
 [[nodiscard]] SellAccess row_access(const SellMatrix& a) { return SellAccess(a); }
 [[nodiscard]] DenseAccess row_access(const DenseMatrix& a) { return DenseAccess(a); }
 
@@ -191,23 +204,26 @@ void for_block_width(std::size_t block, Sweep&& sweep) {
 /// One matrix pass: per logical row r, acc[j] = sum over the row's entries
 /// (v, c) of v * x_j[c] in entry order — the same accumulation as
 /// CrsMatrix::multiply for every member — then `row_end(r, acc)`.  The
-/// access policy is taken by value so the compiler knows the output stores
-/// cannot move the matrix arrays it walks.
-template <std::size_t W, typename Access, typename RowEnd>
-void sweep_rows(const Access rows_of, std::size_t rows, Members<W> m, const double* x,
+/// element type T is the vector scalar: each stored value is converted to T
+/// (binary32 vectors narrow a double matrix entry by entry) and every member
+/// accumulates in T.  The access policy is taken by value so the compiler
+/// knows the output stores cannot move the matrix arrays it walks.
+template <std::size_t W, typename T, typename Access, typename RowEnd>
+void sweep_rows(const Access rows_of, std::size_t rows, Members<W> m, const T* x,
                 RowEnd&& row_end) {
   const std::size_t stride = m.stride();
   const std::size_t count = m.count();
   x += m.first;
-  double acc[Members<W>::kCap] = {};
+  T acc[Members<W>::kCap] = {};
   for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t j = 0; j < count; ++j) acc[j] = 0.0;
+    for (std::size_t j = 0; j < count; ++j) acc[j] = T{};
     // Member-inner loop: x[c*B + j] is unit-stride.
-    rows_of.row_entries(r, [&](double v, std::size_t c) {
-      const double* xc = x + c * stride;
-      for (std::size_t j = 0; j < count; ++j) acc[j] += v * xc[j];
+    rows_of.row_entries(r, [&](auto v, std::size_t c) {
+      const T vt = static_cast<T>(v);
+      const T* xc = x + c * stride;
+      for (std::size_t j = 0; j < count; ++j) acc[j] += vt * xc[j];
     });
-    row_end(r, static_cast<const double*>(acc));
+    row_end(r, static_cast<const T*>(acc));
   }
 }
 
@@ -218,14 +234,13 @@ template <std::size_t Cap>
   return (lanes[0][j] + lanes[1][j]) + (lanes[2][j] + lanes[3][j]);
 }
 
-template <std::size_t W, typename Access>
-void multiply_sweep(const Access& rows_of, std::size_t rows, Members<W> m, const double* x,
-                    double* y) {
+template <std::size_t W, typename T, typename Access>
+void multiply_sweep(const Access& rows_of, std::size_t rows, Members<W> m, const T* x, T* y) {
   const std::size_t stride = m.stride();
   const std::size_t count = m.count();
   y += m.first;
-  sweep_rows(rows_of, rows, m, x, [&](std::size_t r, const double* acc) {
-    double* yr = y + r * stride;
+  sweep_rows(rows_of, rows, m, x, [&](std::size_t r, const T* acc) {
+    T* yr = y + r * stride;
     for (std::size_t j = 0; j < count; ++j) yr[j] = acc[j];
   });
 }
@@ -303,18 +318,69 @@ void block_dot_sweep(std::size_t dim, Members<W> m, const double* x, const doubl
   for (std::size_t j = 0; j < count; ++j) dots[m.first + j] = fold_lanes(lanes, j);
 }
 
+/// Single-lane left folds: float sums for binary32, Re<x|y> for complex.
+template <std::size_t W, typename T>
+void fold_dot_sweep(std::size_t dim, Members<W> m, const T* x, const T* y, double* dots) {
+  const std::size_t stride = m.stride();
+  const std::size_t count = m.count();
+  x += m.first;
+  y += m.first;
+  std::conditional_t<std::is_same_v<T, float>, float, double> acc[Members<W>::kCap] = {};
+  for (std::size_t i = 0; i < dim; ++i) {
+    const T* xi = x + i * stride;
+    const T* yi = y + i * stride;
+    for (std::size_t j = 0; j < count; ++j) {
+      if constexpr (std::is_same_v<T, float>)
+        acc[j] += xi[j] * yi[j];
+      else
+        acc[j] += (std::conj(xi[j]) * yi[j]).real();
+    }
+  }
+  for (std::size_t j = 0; j < count; ++j) dots[m.first + j] = static_cast<double>(acc[j]);
+}
+
+/// Complex pass: the combine of combine_dot_sweep, and per member the
+/// single-lane left fold Re<r0_j|r_next_j> in logical row order.
+template <std::size_t W, typename Access>
+void combine_dot_re_sweep(const Access& rows_of, std::size_t rows, Members<W> m,
+                          const std::complex<double>* r_prev,
+                          const std::complex<double>* r_prev2,
+                          const std::complex<double>* r0, std::complex<double>* r_next,
+                          double* dots) {
+  const std::size_t stride = m.stride();
+  const std::size_t count = m.count();
+  r_prev2 += m.first;
+  r0 += m.first;
+  r_next += m.first;
+  double sums[Members<W>::kCap] = {};
+  sweep_rows(rows_of, rows, m, r_prev, [&](std::size_t r, const std::complex<double>* acc) {
+    const std::complex<double>* p2 = r_prev2 + r * stride;
+    const std::complex<double>* z = r0 + r * stride;
+    std::complex<double>* yr = r_next + r * stride;
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::complex<double> next = 2.0 * acc[j] - p2[j];
+      yr[j] = next;
+      sums[j] += (std::conj(z[j]) * next).real();
+    }
+  });
+  for (std::size_t j = 0; j < count; ++j) dots[m.first + j] = sums[j];
+}
+
 // ---------------------------------------------------------------------------
 // Checked, metered passes shared by every storage.  `what` names the public entry point in error messages;
 // the message string is only built when a check fails.
 
-template <typename Matrix>
-void multiply_pass(const Matrix& a, std::size_t block, std::span<const double> x,
-                   std::span<double> y) {
+/// y_j = A x_j over vectors of T.  A binary32 pass streams the matrix as
+/// if stored in float (half its double bytes).
+template <typename Matrix, typename T>
+void multiply_pass(const Matrix& a, std::size_t block, std::span<const T> x, std::span<T> y) {
   KPM_REQUIRE(block >= 1, "spmmv_multiply: block must be >= 1");
   KPM_REQUIRE(x.size() == a.cols() * block && y.size() == a.rows() * block,
               "spmmv_multiply: block size mismatch");
   KPM_REQUIRE(y.data() != x.data(), "spmmv_multiply: y must not alias x");
-  meter_spmmv(spmv_flops(a), matrix_bytes(a), a.rows(), block);
+  const double narrowing = std::is_same_v<T, float> ? 0.5 : 1.0;
+  meter_spmmv(spmv_flops(a), static_cast<double>(matrix_bytes(a)) * narrowing, a.rows(), block,
+              sizeof(T));
   const auto rows_of = row_access(a);
   for_block_width(block, [&](auto m) {
     multiply_sweep(rows_of, a.rows(), m, x.data(), y.data());
@@ -376,6 +442,38 @@ void block_dot(std::span<const double> x, std::span<const double> y, std::size_t
                   [&](auto m) { block_dot_sweep(dim, m, x.data(), y.data(), dots.data()); });
 }
 
+template <typename T>
+void fold_dot(std::span<const T> x, std::span<const T> y, std::size_t block,
+              std::span<double> dots) {
+  KPM_REQUIRE(block >= 1, "block_dot_fold: block must be >= 1");
+  KPM_REQUIRE(x.size() == y.size() && x.size() % block == 0,
+              "block_dot_fold: block vector size mismatch");
+  KPM_REQUIRE(dots.size() == block, "block_dot_fold: dots size mismatch");
+  for_block_width(block, [&](auto m) {
+    fold_dot_sweep(x.size() / block, m, x.data(), y.data(), dots.data());
+  });
+}
+
+void block_dot_fold(std::span<const float> x, std::span<const float> y, std::size_t block,
+                    std::span<double> dots) {
+  fold_dot(x, y, block, dots);
+}
+
+void block_dot_fold(std::span<const std::complex<double>> x,
+                    std::span<const std::complex<double>> y, std::size_t block,
+                    std::span<double> dots) {
+  fold_dot(x, y, block, dots);
+}
+
+void meter_spmmv_pass(const MatrixOperator& op, std::size_t block) {
+  meter_spmmv(op.spmv_flops(), static_cast<double>(op.spmv_matrix_bytes()), op.dim(), block,
+              sizeof(double));
+}
+
+void meter_combine_dot_pass(const MatrixOperator& op, std::size_t block) {
+  meter_fused(op.spmv_flops(), op.spmv_matrix_bytes(), op.dim(), 1, sizeof(double), block);
+}
+
 void spmmv_multiply(const CrsMatrix& a, std::size_t block, std::span<const double> x,
                     std::span<double> y) {
   multiply_pass(a, block, x, y);
@@ -394,6 +492,16 @@ void spmmv_multiply(const DenseMatrix& a, std::size_t block, std::span<const dou
 void spmmv_multiply(const MatrixOperator& op, std::size_t block, std::span<const double> x,
                     std::span<double> y) {
   with_storage(op, [&](const auto& a) { multiply_pass(a, block, x, y); });
+}
+
+void spmmv_multiply(const MatrixOperator& op, std::size_t block, std::span<const float> x,
+                    std::span<float> y) {
+  with_storage(op, [&](const auto& a) { multiply_pass(a, block, x, y); });
+}
+
+void spmmv_multiply(const CrsMatrixZ& a, std::size_t block,
+                    std::span<const std::complex<double>> x, std::span<std::complex<double>> y) {
+  multiply_pass(a, block, x, y);
 }
 
 void spmmv_combine_dot(const CrsMatrix& a, std::size_t block, std::span<const double> r_prev,
@@ -463,52 +571,15 @@ void spmmv_combine_dot_re(const CrsMatrixZ& a, std::size_t block,
   KPM_REQUIRE(r_next.data() != r_prev.data() && r_next.data() != r_prev2.data() &&
                   r_next.data() != r0.data(),
               "spmmv_combine_dot_re: r_next must not alias an input");
-  if (obs::active_counters() != nullptr) {
-    // Complex SpMV: 8 flops per stored entry; combine and the real-part dot
-    // contribute 4 flops per element each.  Vector traffic per member is
-    // four complex vectors (r_prev, r_prev2, r0 reads + r_next write); the
-    // matrix streams once.
-    const double d = static_cast<double>(a.rows());
-    const double b = static_cast<double>(block);
-    const double matrix_bytes = static_cast<double>(
-        a.nnz() * (sizeof(std::complex<double>) + sizeof(CrsMatrixZ::Index)) +
-        (a.rows() + 1) * sizeof(CrsMatrixZ::Index));
-    const double bytes = matrix_bytes + 4.0 * b * d * sizeof(std::complex<double>);
-    obs::add(obs::Counter::SpmvCalls, b);
-    obs::add(obs::Counter::DotCalls, b);
-    obs::add(obs::Counter::FusedCalls, 1.0);
-    obs::add(obs::Counter::Flops, b * (8.0 * static_cast<double>(a.nnz()) + 8.0 * d));
-    obs::add(obs::Counter::BytesStreamed, bytes);
-    obs::add(obs::Counter::FusedBytes, bytes);
-  }
-
-  const auto row_ptr = a.row_ptr();
-  const auto col_idx = a.col_idx();
-  const auto values = a.values();
-  const std::size_t rows = a.rows();
-
-  std::vector<std::complex<double>> acc(block);
-  // Per member: single-lane left fold; per-row accumulation in the same
-  // order as CrsMatrixZ::multiply.
-  std::fill(dots.begin(), dots.end(), 0.0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::fill(acc.begin(), acc.end(), std::complex<double>{0.0, 0.0});
-    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      const std::complex<double> v = values[kk];
-      const std::complex<double>* xc =
-          r_prev.data() + static_cast<std::size_t>(col_idx[kk]) * block;
-      for (std::size_t j = 0; j < block; ++j) acc[j] += v * xc[j];
-    }
-    const std::complex<double>* p2 = r_prev2.data() + r * block;
-    const std::complex<double>* z = r0.data() + r * block;
-    std::complex<double>* yr = r_next.data() + r * block;
-    for (std::size_t j = 0; j < block; ++j) {
-      const std::complex<double> next = 2.0 * acc[j] - p2[j];
-      yr[j] = next;
-      dots[j] += (std::conj(z[j]) * next).real();
-    }
-  }
+  // Complex SpMV: 8 flops per stored entry; the combine and the real-part
+  // dot cost 4 flops per complex element each.
+  meter_fused(spmv_flops(a), matrix_bytes(a), a.rows(), 1, sizeof(std::complex<double>), block,
+              4.0);
+  const auto rows_of = row_access(a);
+  for_block_width(block, [&](auto m) {
+    combine_dot_re_sweep(rows_of, a.rows(), m, r_prev.data(), r_prev2.data(), r0.data(),
+                         r_next.data(), dots.data());
+  });
 }
 
 }  // namespace kpm::linalg

@@ -36,7 +36,8 @@
 // fixed-size locals (acc[B], lanes[4][B]) that stay in registers and L1.
 // Any other width runs one generic instantiation that covers up to 64
 // members per matrix pass with the same fixed-size locals (wider blocks
-// take one pass per 64 members).  No call allocates.  There is no separate
+// take one pass per 64 members).  The float and complex kernels are the same
+// templates over the vector scalar.  No call allocates.  There is no separate
 // single-vector API: one vector is a block of B = 1, and the host engines
 // run the per-vector recursion as a one-member group of the blocked one.
 #pragma once
@@ -72,6 +73,16 @@ struct PairedDots {
 void block_dot(std::span<const double> x, std::span<const double> y, std::size_t block,
                std::span<double> dots);
 
+/// Per-member single-lane left folds in row order: <x_j|y_j> summed in
+/// float for binary32 blocks (what a naive single-precision port does) and
+/// Re<x_j|y_j> = sum_r Re(conj(x_j[r]) * y_j[r]) for complex blocks.
+/// Unmetered, like block_dot.
+void block_dot_fold(std::span<const float> x, std::span<const float> y, std::size_t block,
+                    std::span<double> dots);
+void block_dot_fold(std::span<const std::complex<double>> x,
+                    std::span<const std::complex<double>> y, std::size_t block,
+                    std::span<double> dots);
+
 /// y_j = A * x_j for all B members in one matrix pass (no combine, no dot;
 /// the blocked analogue of MatrixOperator::multiply, used for the r_1 =
 /// H~ r_0 step).  Meters B SpMV products over one matrix stream.
@@ -83,6 +94,19 @@ void spmmv_multiply(const DenseMatrix& a, std::size_t block, std::span<const dou
                     std::span<double> y);
 void spmmv_multiply(const MatrixOperator& op, std::size_t block, std::span<const double> x,
                     std::span<double> y);
+
+/// Binary32 variant: every stored double is narrowed to float and each
+/// member accumulates in float (what a naive single-precision port does),
+/// rows in logical order with CRS entry order on every storage, so results
+/// do not depend on the storage.  Meters B products over one matrix stream
+/// of half the double matrix's bytes, with 4-byte vector elements.
+void spmmv_multiply(const MatrixOperator& op, std::size_t block, std::span<const float> x,
+                    std::span<float> y);
+
+/// Complex variant; each member's accumulation order matches
+/// CrsMatrixZ::multiply.  Meters B products at 8 flops per stored entry.
+void spmmv_multiply(const CrsMatrixZ& a, std::size_t block,
+                    std::span<const std::complex<double>> x, std::span<std::complex<double>> y);
 
 /// r_next_j = 2 * A * r_prev_j - r_prev2_j and dots[j] = <r0_j | r_next_j>
 /// for all B members in one matrix pass.  Preconditions: r_next must not
@@ -130,5 +154,11 @@ void spmmv_combine_dot_re(const CrsMatrixZ& a, std::size_t block,
                           std::span<const std::complex<double>> r_prev2,
                           std::span<const std::complex<double>> r0,
                           std::span<std::complex<double>> r_next, std::span<double> dots);
+
+/// The meters of one spmmv_multiply / spmmv_combine_dot pass of `block`
+/// members on `op`, for a caller that runs the same pass in pieces (the
+/// cluster's shard-local recursion meters the global pass).
+void meter_spmmv_pass(const MatrixOperator& op, std::size_t block);
+void meter_combine_dot_pass(const MatrixOperator& op, std::size_t block);
 
 }  // namespace kpm::linalg

@@ -277,4 +277,52 @@ void ShardedMatrix::shard_multiply_block(std::size_t p, std::size_t block,
   }
 }
 
+void ShardedMatrix::exchange_ghosts(std::span<std::vector<double>> v, std::size_t block) const {
+  for (std::size_t p = 0; p < nodes(); ++p) {
+    const MatrixShard& s = shards_[p];
+    for (std::size_t gi = 0; gi < s.ghost_rows.size(); ++gi) {
+      const GhostSource src = s.ghost_sources[gi];
+      const double* from =
+          v[src.owner].data() + (shards_[src.owner].owned_offset() + src.local_row) * block;
+      std::copy_n(from, block, v[p].data() + s.ghost_position(gi) * block);
+    }
+  }
+}
+
+void ShardedMatrix::multiply_block(std::size_t block, std::span<const std::vector<double>> x,
+                                   std::span<std::vector<double>> y,
+                                   std::span<double> acc) const {
+  for (std::size_t p = 0; p < nodes(); ++p) {
+    const MatrixShard& s = shards_[p];
+    shard_multiply_block(p, block, std::span<const double>(x[p].data(), s.working_size() * block),
+                         std::span<double>(y[p].data() + s.owned_offset() * block,
+                                           s.local_rows() * block),
+                         acc);
+  }
+}
+
+void ShardedMatrix::combine(std::span<std::vector<double>> next,
+                            std::span<const std::vector<double>> prev2, std::size_t block) const {
+  for (std::size_t p = 0; p < nodes(); ++p) {
+    const std::size_t off = shards_[p].owned_offset() * block;
+    for (std::size_t i = off; i < off + shards_[p].local_rows() * block; ++i)
+      next[p][i] = 2.0 * next[p][i] - prev2[p][i];
+  }
+}
+
+void ShardedMatrix::block_dot(std::span<const std::vector<double>> x,
+                              std::span<const std::vector<double>> y, std::size_t block,
+                              std::span<DotLanes> lanes, std::span<double> dots) const {
+  for (std::size_t j = 0; j < block; ++j) lanes[j] = DotLanes{};
+  for (std::size_t p = 0; p < nodes(); ++p) {
+    const MatrixShard& s = shards_[p];
+    const std::size_t off = s.owned_offset() * block;
+    const std::size_t len = s.local_rows() * block;
+    block_dot_lanes_carry(std::span<const double>(x[p].data() + off, len),
+                          std::span<const double>(y[p].data() + off, len), block, s.row_begin,
+                          lanes);
+  }
+  for (std::size_t j = 0; j < block; ++j) dots[j] = lanes[j].combine();
+}
+
 }  // namespace kpm::linalg

@@ -157,6 +157,28 @@ class ShardedMatrix {
   void shard_multiply_block(std::size_t p, std::size_t block, std::span<const double> x_work,
                             std::span<double> y, std::span<double> acc) const;
 
+  // Operations on distributed blocks: `v[p]` is shard p's [owned | ghost]
+  // working vector of interleaved `block`-member rows (a prefix of length
+  // working_size() * block).
+
+  /// The simulated halo exchange: copies every ghost slot from its owner's
+  /// owned slot.  Values are copied, never combined, so order is irrelevant.
+  void exchange_ghosts(std::span<std::vector<double>> v, std::size_t block) const;
+
+  /// Owned rows of y = A x on every shard (x's ghosts already exchanged).
+  void multiply_block(std::size_t block, std::span<const std::vector<double>> x,
+                      std::span<std::vector<double>> y, std::span<double> acc) const;
+
+  /// Owned rows of next = 2 next - prev2 (the Chebyshev combine).
+  void combine(std::span<std::vector<double>> next, std::span<const std::vector<double>> prev2,
+               std::size_t block) const;
+
+  /// Per-member dots <x_j | y_j> over the owned rows, the four canonical
+  /// dot lanes carried through the shards in node order and combined once:
+  /// bit-identical to linalg::block_dot on the assembled global vectors.
+  void block_dot(std::span<const std::vector<double>> x, std::span<const std::vector<double>> y,
+                 std::size_t block, std::span<DotLanes> lanes, std::span<double> dots) const;
+
  private:
   Decomposition dec_;
   Storage storage_ = Storage::Crs;

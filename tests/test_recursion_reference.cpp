@@ -25,6 +25,7 @@
 #include "core/conductivity.hpp"
 #include "core/estimator_stats.hpp"
 #include "core/ldos.hpp"
+#include "core/moments_cluster.hpp"
 #include "core/moments_cpu.hpp"
 #include "core/moments_f32.hpp"
 #include "core/moments_hermitian.hpp"
@@ -33,6 +34,7 @@
 #include "lattice/lattice.hpp"
 #include "lattice/peierls.hpp"
 #include "linalg/crs_matrix.hpp"
+#include "linalg/decomposition.hpp"
 #include "linalg/hermitian_matrix.hpp"
 #include "linalg/operator.hpp"
 #include "linalg/sell_matrix.hpp"
@@ -351,6 +353,8 @@ enum class Caller {
   Hermitian,
   HermitianLdos,
   HermitianTrace,
+  Cluster,
+  ClusterLdos,
 };
 
 const char* caller_name(Caller c) {
@@ -366,6 +370,8 @@ const char* caller_name(Caller c) {
     case Caller::Hermitian: return "hermitian";
     case Caller::HermitianLdos: return "hermitian_ldos";
     case Caller::HermitianTrace: return "hermitian_trace";
+    case Caller::Cluster: return "cluster";
+    case Caller::ClusterLdos: return "cluster_ldos";
   }
   return "unknown";
 }
@@ -492,6 +498,26 @@ TEST_P(RecursionReference, MatchesUnfusedPerVectorBitwise) {
       expect_bitwise(kpm::core::deterministic_trace_moments_hermitian(ops.flux, 10, block),
                      reference_hermitian_trace(ops.flux, 10));
       break;
+    case Caller::Cluster:
+      for (const std::size_t nodes : {2u, 3u})
+        for (const int threads : {1, 3}) {
+          SCOPED_TRACE("P " + std::to_string(nodes) + " threads " + std::to_string(threads));
+          kpm::core::ClusterEngineConfig cfg;
+          cfg.node_count = nodes;
+          cfg.threads = threads;
+          kpm::core::ClusterMomentEngine engine(cfg);
+          expect_bitwise(engine.compute(h, params).mu,
+                         reference_stochastic(h, params, reference_moments));
+        }
+      break;
+    case Caller::ClusterLdos:
+      for (const std::size_t nodes : {2u, 3u})
+        for (const std::size_t n : {1u, 2u, 17u})
+          expect_bitwise(
+              kpm::core::cluster_ldos_moments(
+                  h, kpm::linalg::Decomposition::uniform(h.dim(), nodes, 1), 5, n),
+              reference_moments(h, unit_vector(h.dim(), 5), n));
+      break;
   }
 }
 
@@ -507,7 +533,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          Caller::CpuPaired, Caller::Estimator, Caller::Ldos,
                                          Caller::Trace, Caller::Conductivity, Caller::CpuF32,
                                          Caller::Hermitian, Caller::HermitianLdos,
-                                         Caller::HermitianTrace),
+                                         Caller::HermitianTrace, Caller::Cluster,
+                                         Caller::ClusterLdos),
                        ::testing::Bool(),
                        ::testing::Values(std::size_t{1}, std::size_t{3}, std::size_t{8})),
     case_name);

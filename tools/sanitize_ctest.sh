@@ -8,7 +8,7 @@
 #              e.g. "thread" for TSan)
 #
 # Example: tools/sanitize_ctest.sh address,undefined -R 'obs|golden'
-#          tools/sanitize_ctest.sh thread -R 'ThreadPool|ParallelCpu|BlockedEngines|Cluster|Serve|Fleet'
+#          tools/sanitize_ctest.sh thread -R 'ThreadPool|ParallelCpu|BlockedEngines|Cluster|RecursionReference|Serve|Fleet'
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
