@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -105,6 +106,8 @@ void CliParser::parse(int argc, const char* const* argv) {
           break;
         case Kind::Double:
           opt->double_value = std::stod(*value);
+          if (!std::isfinite(opt->double_value))
+            fail("value '" + *value + "' for --" + name + " must be a finite number");
           break;
         case Kind::String:
           opt->string_value = *value;

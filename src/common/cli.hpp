@@ -27,7 +27,7 @@ class CliParser {
   /// Registers an int64 option with a default; returns a stable pointer to
   /// the parsed value (filled during parse()).
   const std::int64_t* add_int(const std::string& name, std::int64_t def, const std::string& help);
-  /// Registers a floating-point option.
+  /// Registers a floating-point option; parse() refuses NaN and infinities.
   const double* add_double(const std::string& name, double def, const std::string& help);
   /// Registers a string option.
   const std::string* add_string(const std::string& name, std::string def, const std::string& help);

@@ -51,8 +51,10 @@ ConductivityMoments conductivity_moments(const linalg::MatrixOperator& h_tilde,
   // beta recursion and the streamed psi recursion are SpMMV passes; B = 1
   // is a one-member group).  Per-member arithmetic is the per-vector
   // recursion's, and each mu cell accumulates member contributions in
-  // instance order, so the result is independent of the block size.
-  const std::size_t block = params.block_r;
+  // instance order, so the result is independent of the block size.  The
+  // workspaces are shaped for the widest group actually run, never wider
+  // than the executed instances.
+  const std::size_t block = std::min(params.block_r, executed);
   std::vector<double> r0(d * block), phi(d * block);
   std::vector<double> beta(n * d * block);
   std::vector<double> psi_prev2(d * block), psi_prev(d * block), psi_next(d * block),

@@ -1,5 +1,6 @@
 #include "lattice/hamiltonian.hpp"
 
+#include <array>
 #include <cmath>
 #include <numbers>
 
@@ -20,24 +21,60 @@ double site_energy(std::size_t site, const TightBindingParams& params,
 linalg::CrsMatrix build_tight_binding_crs(const HypercubicLattice& lat,
                                           const TightBindingParams& params,
                                           const OnsiteFunction& onsite) {
+  using Index = linalg::CrsMatrix::Index;
+  // One row's stencil: eps_i, up to 6 nearest and up to 12 next-nearest
+  // neighbours.
+  struct Term {
+    std::size_t col;
+    double value;
+  };
+  std::array<Term, 19> row{};
+
   const std::size_t n = lat.sites();
-  linalg::TripletBuilder b(n, n);
+  const std::size_t d = lat.effective_dimension();
+  const std::size_t nnn = params.hopping_nnn == 0.0 ? 0 : (d == 1 ? 2 : 2 * d * (d - 1));
+  std::vector<Index> row_ptr(n + 1, 0);
+  std::vector<Index> col_idx;
+  std::vector<double> values;
+  col_idx.reserve(n * (1 + 2 * d + nnn));
+  values.reserve(n * (1 + 2 * d + nnn));
+
   for (std::size_t i = 0; i < n; ++i) {
+    // Terms in stencil order: eps_i, nearest, next-nearest.  A stored zero
+    // diagonal (the paper's 7-entries-per-row layout) rides along as an
+    // eps_i term of +0.0, which leaves every sum it joins unchanged.
+    std::size_t len = 0;
     const double eps = site_energy(i, params, onsite);
-    // TripletBuilder drops exact zeros; structural zero diagonals (the
-    // paper's 7-entries-per-row layout) are inserted after assembly below.
-    if (eps != 0.0) b.add(i, i, eps);
-    for (std::size_t j : lat.neighbours(i)) b.add(i, j, -params.hopping);
-    if (params.hopping_nnn != 0.0)
-      for (std::size_t j : lat.next_nearest_neighbours(i)) b.add(i, j, -params.hopping_nnn);
+    if (eps != 0.0 || params.store_zero_diagonal) row[len++] = {i, eps};
+    lat.for_each_neighbour(i, [&](std::size_t j) { row[len++] = {j, -params.hopping}; });
+    if (nnn != 0)
+      lat.for_each_next_nearest_neighbour(
+          i, [&](std::size_t j) { row[len++] = {j, -params.hopping_nnn}; });
+
+    // Stable insertion sort by column, then merge duplicates in insertion
+    // order starting from 0.0 and drop exact zeros.  A triplet sort merges
+    // the same sums: duplicates with three or more distinct terms occur only
+    // on chains of edge 1 or 2, whose <= 10 triplets std::sort orders by
+    // (stable) insertion sort; every other duplicate sums two terms or equal
+    // values, where order cannot matter.
+    for (std::size_t k = 1; k < len; ++k) {
+      const Term t = row[k];
+      std::size_t m = k;
+      for (; m > 0 && row[m - 1].col > t.col; --m) row[m] = row[m - 1];
+      row[m] = t;
+    }
+    for (std::size_t k = 0; k < len;) {
+      const std::size_t col = row[k].col;
+      double v = 0.0;
+      for (; k < len && row[k].col == col; ++k) v += row[k].value;
+      if (v != 0.0 || (col == i && params.store_zero_diagonal)) {
+        col_idx.push_back(static_cast<Index>(col));
+        values.push_back(v);
+      }
+    }
+    row_ptr[i + 1] = static_cast<Index>(values.size());
   }
-  linalg::CrsMatrix m = b.build();
-
-  if (!params.store_zero_diagonal) return m;
-
-  // Explicit zero diagonal entries where missing, matching the paper's
-  // layout (7 stored entries per cubic row).
-  return linalg::with_structural_diagonal(m);
+  return linalg::CrsMatrix(n, n, std::move(row_ptr), std::move(col_idx), std::move(values));
 }
 
 linalg::DenseMatrix build_tight_binding_dense(const HypercubicLattice& lat,
@@ -47,15 +84,17 @@ linalg::DenseMatrix build_tight_binding_dense(const HypercubicLattice& lat,
   linalg::DenseMatrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     m(i, i) = site_energy(i, params, onsite);
-    for (std::size_t j : lat.neighbours(i)) m(i, j) += -params.hopping;
+    lat.for_each_neighbour(i, [&](std::size_t j) { m(i, j) += -params.hopping; });
     if (params.hopping_nnn != 0.0)
-      for (std::size_t j : lat.next_nearest_neighbours(i)) m(i, j) += -params.hopping_nnn;
+      lat.for_each_next_nearest_neighbour(
+          i, [&](std::size_t j) { m(i, j) += -params.hopping_nnn; });
   }
   return m;
 }
 
 OnsiteFunction anderson_disorder(double width, std::uint64_t seed, std::uint64_t realization) {
-  KPM_REQUIRE(width >= 0.0, "anderson_disorder: width must be non-negative");
+  KPM_REQUIRE(std::isfinite(width) && width >= 0.0,
+              "anderson_disorder: width must be finite and non-negative");
   // Stream id 2^40 + realization keeps disorder draws disjoint from the
   // random-vector streams used by the stochastic trace (which use the
   // (s, r) instance id < 2^32 as their stream).

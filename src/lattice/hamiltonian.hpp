@@ -31,7 +31,8 @@ struct TightBindingParams {
 /// Anderson disorder model.  When set, `onsite` is ignored.
 using OnsiteFunction = std::function<double(std::size_t)>;
 
-/// Assembles the tight-binding Hamiltonian of `lat` in CRS form.
+/// Assembles the tight-binding Hamiltonian of `lat` in CRS form, emitting
+/// each row from its stencil in O(nnz) (no global triplet sort).
 [[nodiscard]] linalg::CrsMatrix build_tight_binding_crs(const HypercubicLattice& lat,
                                                         const TightBindingParams& params = {},
                                                         const OnsiteFunction& onsite = nullptr);

@@ -35,85 +35,16 @@ std::array<std::size_t, 3> HypercubicLattice::site_coords(std::size_t index) con
 }
 
 std::vector<std::size_t> HypercubicLattice::neighbours(std::size_t index) const {
-  const auto [x, y, z] = site_coords(index);
   std::vector<std::size_t> out;
   out.reserve(6);
-
-  const std::array<std::size_t, 3> coords{x, y, z};
-  for (std::size_t axis = 0; axis < 3; ++axis) {
-    const std::size_t extent = dims_[axis];
-    if (extent == 1) continue;
-    for (int dir : {-1, +1}) {
-      auto c = coords;
-      if (dir == -1) {
-        if (c[axis] == 0) {
-          if (boundary_ == Boundary::Open) continue;
-          c[axis] = extent - 1;
-        } else {
-          --c[axis];
-        }
-      } else {
-        if (c[axis] + 1 == extent) {
-          if (boundary_ == Boundary::Open) continue;
-          c[axis] = 0;
-        } else {
-          ++c[axis];
-        }
-      }
-      out.push_back(site_index(c[0], c[1], c[2]));
-    }
-  }
+  for_each_neighbour(index, [&out](std::size_t j) { out.push_back(j); });
   return out;
 }
 
 std::vector<std::size_t> HypercubicLattice::next_nearest_neighbours(std::size_t index) const {
-  const auto [x, y, z] = site_coords(index);
-  const std::array<std::size_t, 3> coords{x, y, z};
   std::vector<std::size_t> out;
-
-  // Steps a coordinate by +-1 (or +-2 for the 1D case) with the lattice's
-  // boundary handling; returns false when an open boundary is crossed.
-  auto step = [&](std::array<std::size_t, 3>& c, std::size_t axis, int dir, std::size_t by,
-                  bool& ok) {
-    const std::size_t extent = dims_[axis];
-    auto pos = static_cast<long long>(c[axis]) + dir * static_cast<long long>(by);
-    if (pos < 0 || pos >= static_cast<long long>(extent)) {
-      if (boundary_ == Boundary::Open) {
-        ok = false;
-        return;
-      }
-      pos = ((pos % static_cast<long long>(extent)) + static_cast<long long>(extent)) %
-            static_cast<long long>(extent);
-    }
-    c[axis] = static_cast<std::size_t>(pos);
-  };
-
-  if (effective_dimension() == 1) {
-    out.reserve(2);
-    for (int dir : {-1, +1}) {
-      auto c = coords;
-      bool ok = true;
-      step(c, 0, dir, 2, ok);
-      if (ok) out.push_back(site_index(c[0], c[1], c[2]));
-    }
-    return out;
-  }
-
   out.reserve(12);
-  for (std::size_t a = 0; a < 3; ++a) {
-    if (dims_[a] == 1) continue;
-    for (std::size_t b = a + 1; b < 3; ++b) {
-      if (dims_[b] == 1) continue;
-      for (int da : {-1, +1})
-        for (int db : {-1, +1}) {
-          auto c = coords;
-          bool ok = true;
-          step(c, a, da, 1, ok);
-          if (ok) step(c, b, db, 1, ok);
-          if (ok) out.push_back(site_index(c[0], c[1], c[2]));
-        }
-    }
-  }
+  for_each_next_nearest_neighbour(index, [&out](std::size_t j) { out.push_back(j); });
   return out;
 }
 

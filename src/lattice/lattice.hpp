@@ -70,14 +70,65 @@ class HypercubicLattice {
   [[nodiscard]] std::vector<std::size_t> neighbours(std::size_t index) const;
 
   /// Next-nearest neighbours: two-axis diagonal hops for 2D/3D lattices
-  /// (4 on the square, 12 on the cubic), distance-2 hops along the chain
-  /// for 1D.  Same wrap conventions as neighbours().
+  /// (4 on the square, 12 on the cubic), distance-2 hops along the chain's
+  /// axis for 1D.  Same wrap conventions as neighbours().
   [[nodiscard]] std::vector<std::size_t> next_nearest_neighbours(std::size_t index) const;
+
+  /// Calls `visit(j)` for every nearest neighbour j of `index`, in the order
+  /// neighbours() lists them, without allocating.
+  template <class Visit>
+  void for_each_neighbour(std::size_t index, Visit&& visit) const {
+    const auto c = site_coords(index);
+    for (std::size_t axis = 0; axis < 3; ++axis) {
+      if (dims_[axis] == 1) continue;
+      for (long long dir : {-1LL, 1LL})
+        if (std::size_t j = index; step(j, c[axis], axis, dir)) visit(j);
+    }
+  }
+
+  /// Calls `visit(j)` for every next-nearest neighbour j of `index`, in the
+  /// order next_nearest_neighbours() lists them, without allocating.
+  template <class Visit>
+  void for_each_next_nearest_neighbour(std::size_t index, Visit&& visit) const {
+    const auto c = site_coords(index);
+    if (effective_dimension() == 1) {
+      // The chain's axis: x, or y for a 1 x L x 1 layout.
+      const std::size_t axis = dims_[0] == 1 && dims_[1] > 1 ? 1 : 0;
+      for (long long dir : {-2LL, 2LL})
+        if (std::size_t j = index; step(j, c[axis], axis, dir)) visit(j);
+      return;
+    }
+    for (std::size_t a = 0; a < 3; ++a) {
+      if (dims_[a] == 1) continue;
+      for (std::size_t b = a + 1; b < 3; ++b) {
+        if (dims_[b] == 1) continue;
+        for (long long da : {-1LL, 1LL})
+          for (long long db : {-1LL, 1LL})
+            if (std::size_t j = index; step(j, c[a], a, da) && step(j, c[b], b, db)) visit(j);
+      }
+    }
+  }
 
   /// Human-readable description like "cubic 10x10x10 (periodic)".
   [[nodiscard]] std::string describe() const;
 
  private:
+  /// Moves `index`, whose coordinate on `axis` is `coord`, by `delta` sites
+  /// along `axis`, wrapping on periodic boundaries.  Returns false (leaving
+  /// `index` unchanged) when the move crosses an open boundary.
+  bool step(std::size_t& index, std::size_t coord, std::size_t axis,
+            long long delta) const noexcept {
+    const auto extent = static_cast<long long>(dims_[axis]);
+    auto pos = static_cast<long long>(coord) + delta;
+    if (pos < 0 || pos >= extent) {
+      if (boundary_ == Boundary::Open) return false;
+      pos = ((pos % extent) + extent) % extent;
+    }
+    const std::size_t stride = axis == 0 ? 1 : axis == 1 ? dims_[0] : dims_[0] * dims_[1];
+    index = index - coord * stride + static_cast<std::size_t>(pos) * stride;
+    return true;
+  }
+
   std::array<std::size_t, 3> dims_;
   Boundary boundary_;
 };

@@ -71,7 +71,9 @@ class CrsMatrix {
 
 /// Accumulates (row, col, value) triplets and assembles a CrsMatrix.
 /// Duplicate coordinates are summed (standard FEM/tight-binding assembly
-/// semantics).
+/// semantics).  build() sorts every triplet, so this is for input in no
+/// known order (dense conversion, honeycomb, current and Peierls operators);
+/// the hypercubic builder and rescale() emit their rows directly in O(nnz).
 class TripletBuilder {
  public:
   TripletBuilder(std::size_t rows, std::size_t cols);
@@ -102,8 +104,8 @@ class TripletBuilder {
 [[nodiscard]] CrsMatrix dense_to_crs(const DenseMatrix& m, double drop_tol = 0.0);
 
 /// Returns a copy of `m` whose every row stores its diagonal entry, adding
-/// explicit zeros where the pattern lacks one.  Used by the tight-binding
-/// builders to match the paper's "7 non-zero elements per row with all
+/// explicit zeros where the pattern lacks one.  Used by the honeycomb
+/// builder to match the paper's "7 non-zero elements per row with all
 /// diagonal ones zeros" storage layout.
 [[nodiscard]] CrsMatrix with_structural_diagonal(const CrsMatrix& m);
 

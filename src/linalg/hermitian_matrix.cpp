@@ -130,21 +130,4 @@ CrsMatrixZ TripletBuilderZ::build() {
   return CrsMatrixZ(rows_, cols_, std::move(row_ptr), std::move(col_idx), std::move(values));
 }
 
-CrsMatrixZ rescale(const CrsMatrixZ& h, const SpectralTransform& t) {
-  KPM_REQUIRE(h.rows() == h.cols(), "rescale requires a square matrix");
-  TripletBuilderZ b(h.rows(), h.cols());
-  const double inv = 1.0 / t.half_width();
-  const auto row_ptr = h.row_ptr();
-  const auto col_idx = h.col_idx();
-  const auto values = h.values();
-  for (std::size_t r = 0; r < h.rows(); ++r)
-    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      b.add(r, static_cast<std::size_t>(col_idx[kk]), values[kk] * inv);
-    }
-  if (t.center() != 0.0)
-    for (std::size_t r = 0; r < h.rows(); ++r) b.add(r, r, {-t.center() * inv, 0.0});
-  return b.build();
-}
-
 }  // namespace kpm::linalg

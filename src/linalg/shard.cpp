@@ -8,13 +8,13 @@
 
 namespace kpm::linalg {
 
-void dot_lanes_carry(std::span<const double> x, std::span<const double> y,
-                     std::size_t global_offset, DotLanes& lanes) {
-  KPM_REQUIRE(x.size() == y.size(), "dot_lanes_carry: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i)
-    lanes.lane[(global_offset + i) % 4] += x[i] * y[i];
-}
+namespace {
 
+/// Continues each member's canonical dot fold over interleaved blocks
+/// (element i of member j at x[i*block + j]) in lanes[j], element i having
+/// global index `global_offset + i` and so feeding lane
+/// (global_offset + i) % 4.  Folding shard slices in ascending node order
+/// reproduces linalg::block_dot member-for-member, bit for bit.
 void block_dot_lanes_carry(std::span<const double> x, std::span<const double> y,
                            std::size_t block, std::size_t global_offset,
                            std::span<DotLanes> lanes) {
@@ -30,8 +30,6 @@ void block_dot_lanes_carry(std::span<const double> x, std::span<const double> y,
   }
 }
 
-namespace {
-
 /// Bytes one multiply streams for a shard's matrix data (CRS model:
 /// values + column indices + row pointers; SELL: the padded layout's own
 /// accounting).
@@ -39,6 +37,59 @@ std::size_t shard_matrix_bytes(const MatrixShard& s, Storage storage) {
   if (storage == Storage::Sell) return s.sell.spmv_matrix_bytes();
   return s.local.nnz() * (sizeof(double) + sizeof(CrsMatrix::Index)) +
          (s.local.rows() + 1) * sizeof(CrsMatrix::Index);
+}
+
+/// y = (shard rows of A) * x_work over interleaved blocks: member j of
+/// working row i at x_work[i*block + j].  Each member's per-row
+/// accumulation is identical to shard_multiply on its deinterleaved vector.
+/// `acc` is scratch of at least `block` doubles.
+void shard_multiply_block(const MatrixShard& s, Storage storage, std::size_t block,
+                          std::span<const double> x_work, std::span<double> y,
+                          std::span<double> acc) {
+  KPM_REQUIRE(block >= 1, "shard_multiply_block: block must be >= 1");
+  KPM_REQUIRE(x_work.size() == s.working_size() * block && y.size() == s.local_rows() * block,
+              "shard_multiply_block: block size mismatch");
+  KPM_REQUIRE(acc.size() >= block, "shard_multiply_block: acc scratch too small");
+  // Each member's per-row accumulation runs in entry order with its own
+  // register accumulator — identical to linalg::spmmv_multiply member-wise.
+  if (storage == Storage::Sell) {
+    const SellMatrix& m = s.sell;
+    const auto chunk_ptr = m.chunk_ptr();
+    const auto row_len = m.row_len();
+    const auto slot_of = m.slot_of();
+    const auto col_idx = m.col_idx();
+    const auto values = m.values();
+    const std::size_t c_sz = m.chunk_size();
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+      const auto slot = static_cast<std::size_t>(slot_of[r]);
+      const std::size_t chunk = slot / c_sz;
+      const std::size_t lane = slot % c_sz;
+      const auto base = static_cast<std::size_t>(chunk_ptr[chunk]);
+      for (std::size_t j = 0; j < block; ++j) acc[j] = 0.0;
+      for (std::size_t e = 0; e < static_cast<std::size_t>(row_len[slot]); ++e) {
+        const std::size_t k = base + e * c_sz + lane;
+        const double v = values[k];
+        const auto c = static_cast<std::size_t>(col_idx[k]);
+        for (std::size_t j = 0; j < block; ++j) acc[j] += v * x_work[c * block + j];
+      }
+      for (std::size_t j = 0; j < block; ++j) y[r * block + j] = acc[j];
+    }
+    return;
+  }
+  const CrsMatrix& m = s.local;
+  const auto row_ptr = m.row_ptr();
+  const auto col_idx = m.col_idx();
+  const auto values = m.values();
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t j = 0; j < block; ++j) acc[j] = 0.0;
+    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const auto kk = static_cast<std::size_t>(k);
+      const double v = values[kk];
+      const auto c = static_cast<std::size_t>(col_idx[kk]);
+      for (std::size_t j = 0; j < block; ++j) acc[j] += v * x_work[c * block + j];
+    }
+    for (std::size_t j = 0; j < block; ++j) y[r * block + j] = acc[j];
+  }
 }
 
 }  // namespace
@@ -227,56 +278,6 @@ void ShardedMatrix::shard_multiply(std::size_t p, std::span<const double> x_work
     s.local.multiply(x_work, y);
 }
 
-void ShardedMatrix::shard_multiply_block(std::size_t p, std::size_t block,
-                                         std::span<const double> x_work, std::span<double> y,
-                                         std::span<double> acc) const {
-  const MatrixShard& s = shard(p);
-  KPM_REQUIRE(block >= 1, "shard_multiply_block: block must be >= 1");
-  KPM_REQUIRE(x_work.size() == s.working_size() * block && y.size() == s.local_rows() * block,
-              "shard_multiply_block: block size mismatch");
-  KPM_REQUIRE(acc.size() >= block, "shard_multiply_block: acc scratch too small");
-  // Each member's per-row accumulation runs in entry order with its own
-  // register accumulator — identical to linalg::spmmv_multiply member-wise.
-  if (storage_ == Storage::Sell) {
-    const SellMatrix& m = s.sell;
-    const auto chunk_ptr = m.chunk_ptr();
-    const auto row_len = m.row_len();
-    const auto slot_of = m.slot_of();
-    const auto col_idx = m.col_idx();
-    const auto values = m.values();
-    const std::size_t c_sz = m.chunk_size();
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-      const auto slot = static_cast<std::size_t>(slot_of[r]);
-      const std::size_t chunk = slot / c_sz;
-      const std::size_t lane = slot % c_sz;
-      const auto base = static_cast<std::size_t>(chunk_ptr[chunk]);
-      for (std::size_t j = 0; j < block; ++j) acc[j] = 0.0;
-      for (std::size_t e = 0; e < static_cast<std::size_t>(row_len[slot]); ++e) {
-        const std::size_t k = base + e * c_sz + lane;
-        const double v = values[k];
-        const auto c = static_cast<std::size_t>(col_idx[k]);
-        for (std::size_t j = 0; j < block; ++j) acc[j] += v * x_work[c * block + j];
-      }
-      for (std::size_t j = 0; j < block; ++j) y[r * block + j] = acc[j];
-    }
-    return;
-  }
-  const CrsMatrix& m = s.local;
-  const auto row_ptr = m.row_ptr();
-  const auto col_idx = m.col_idx();
-  const auto values = m.values();
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t j = 0; j < block; ++j) acc[j] = 0.0;
-    for (auto k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      const double v = values[kk];
-      const auto c = static_cast<std::size_t>(col_idx[kk]);
-      for (std::size_t j = 0; j < block; ++j) acc[j] += v * x_work[c * block + j];
-    }
-    for (std::size_t j = 0; j < block; ++j) y[r * block + j] = acc[j];
-  }
-}
-
 void ShardedMatrix::exchange_ghosts(std::span<std::vector<double>> v, std::size_t block) const {
   for (std::size_t p = 0; p < nodes(); ++p) {
     const MatrixShard& s = shards_[p];
@@ -294,7 +295,8 @@ void ShardedMatrix::multiply_block(std::size_t block, std::span<const std::vecto
                                    std::span<double> acc) const {
   for (std::size_t p = 0; p < nodes(); ++p) {
     const MatrixShard& s = shards_[p];
-    shard_multiply_block(p, block, std::span<const double>(x[p].data(), s.working_size() * block),
+    shard_multiply_block(s, storage_, block,
+                         std::span<const double>(x[p].data(), s.working_size() * block),
                          std::span<double>(y[p].data() + s.owned_offset() * block,
                                            s.local_rows() * block),
                          acc);

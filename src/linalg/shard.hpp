@@ -43,20 +43,6 @@ struct DotLanes {
   }
 };
 
-/// Continues a canonical dot fold over x[i]*y[i] where element i has
-/// global index `global_offset + i` (feeding lane (global_offset + i) % 4).
-/// Folding shard slices in ascending node order with one shared `lanes`
-/// reproduces linalg::dot on the concatenated vectors bit-for-bit.
-void dot_lanes_carry(std::span<const double> x, std::span<const double> y,
-                     std::size_t global_offset, DotLanes& lanes);
-
-/// Blocked variant over interleaved blocks (element i of member j at
-/// x[i*block + j]): member j's fold continues in lanes[j].  Matches
-/// linalg::block_dot member-for-member.
-void block_dot_lanes_carry(std::span<const double> x, std::span<const double> y,
-                           std::size_t block, std::size_t global_offset,
-                           std::span<DotLanes> lanes);
-
 /// Where a ghost slot's value lives: owning node + local row index there.
 struct GhostSource {
   std::uint32_t owner = 0;
@@ -149,13 +135,6 @@ class ShardedMatrix {
   /// multiply.
   void shard_multiply(std::size_t p, std::span<const double> x_work,
                       std::span<double> y) const;
-
-  /// Blocked (SpMMV) variant over interleaved blocks: member j of working
-  /// row i at x_work[i*block + j].  Each member's per-row accumulation is
-  /// identical to shard_multiply on its deinterleaved vector.  `acc` is
-  /// caller-provided scratch of at least `block` doubles.
-  void shard_multiply_block(std::size_t p, std::size_t block, std::span<const double> x_work,
-                            std::span<double> y, std::span<double> acc) const;
 
   // Operations on distributed blocks: `v[p]` is shard p's [owned | ghost]
   // working vector of interleaved `block`-member rows (a prefix of length

@@ -49,8 +49,9 @@ class SpectralTransform {
 /// Returns H~ = (H - a+ I) / a- as a new dense matrix.
 [[nodiscard]] DenseMatrix rescale(const DenseMatrix& h, const SpectralTransform& t);
 
-/// Returns H~ = (H - a+ I) / a- as a new CRS matrix.  If H lacks stored
-/// diagonal entries and a+ != 0 the pattern gains a diagonal.
+/// Returns H~ = (H - a+ I) / a- as a new CRS matrix, in one O(nnz) pass
+/// over the rows.  If H lacks stored diagonal entries and a+ != 0 the
+/// pattern gains a diagonal; entries that come to exactly zero are dropped.
 [[nodiscard]] CrsMatrix rescale(const CrsMatrix& h, const SpectralTransform& t);
 
 }  // namespace kpm::linalg

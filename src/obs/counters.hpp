@@ -149,14 +149,6 @@ class ShardedCounters {
 // per-operation flop/byte model as cpumodel::roofline so measured counters
 // are directly comparable with modeled workloads.
 
-/// A dot product over `dim` doubles: 2*dim flops, two streamed vectors.
-inline void meter_dot(std::size_t dim) noexcept {
-  const double d = static_cast<double>(dim);
-  add(Counter::DotCalls, 1.0);
-  add(Counter::Flops, 2.0 * d);
-  add(Counter::BytesStreamed, 2.0 * d * 8.0);
-}
-
 /// A plain (unfused) matrix-vector product: matrix traffic plus the input
 /// and output vectors.
 inline void meter_spmv(std::size_t spmv_flops, std::size_t matrix_bytes,

@@ -179,7 +179,7 @@ lattice::HypercubicLattice lattice_of(const ModelSpec& spec) {
 }  // namespace
 
 linalg::CrsMatrix build_model_matrix(const ModelSpec& spec) {
-  const auto onsite = spec.disorder > 0.0
+  const auto onsite = spec.disorder != 0.0
                           ? lattice::anderson_disorder(spec.disorder, spec.seed)
                           : lattice::OnsiteFunction{};
   return lattice::build_tight_binding_crs(lattice_of(spec), {}, onsite);

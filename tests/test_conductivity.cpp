@@ -164,6 +164,20 @@ TEST(Conductivity, DeterministicForFixedSeed) {
   for (std::size_t i = 0; i < m1.mu.size(); ++i) EXPECT_EQ(m1.mu[i], m2.mu[i]);
 }
 
+TEST(Conductivity, BlockWiderThanTheInstancesRunIsBitwiseEqual) {
+  // A block far wider than the three instances run is one group of three:
+  // the workspaces follow the instances, and the moments match block 1.
+  Fixture f;
+  linalg::MatrixOperator h(f.h_tilde), a(f.a_op);
+  auto narrow = cond_params(8);
+  auto wide = narrow;
+  wide.block_r = 100000;
+  const auto m1 = conductivity_moments(h, a, narrow, 3);
+  const auto mw = conductivity_moments(h, a, wide, 3);
+  ASSERT_EQ(m1.mu.size(), mw.mu.size());
+  for (std::size_t i = 0; i < m1.mu.size(); ++i) EXPECT_EQ(m1.mu[i], mw.mu[i]) << i;
+}
+
 TEST(Conductivity, RejectsBadInput) {
   Fixture f;
   linalg::MatrixOperator h(f.h_tilde), a(f.a_op);

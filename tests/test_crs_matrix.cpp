@@ -6,9 +6,14 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "lattice/hamiltonian.hpp"
+#include "lattice/peierls.hpp"
 #include "linalg/crs_matrix.hpp"
 #include "linalg/fused_kernels.hpp"
+#include "linalg/hermitian_matrix.hpp"
+#include "linalg/spectral_transform.hpp"
 #include "linalg/vector_ops.hpp"
+#include "triplet_reference.hpp"
 
 namespace {
 
@@ -218,6 +223,128 @@ TEST(CrsFusedKernels, RejectsAliasedOutputAndMismatchedSizes) {
   std::vector<double> bad(5, 1.0);
   EXPECT_THROW(spmmv_combine_dot(a, 1, bad, r_prev2, r0, out, mu), kpm::Error);
   EXPECT_THROW(spmmv_combine_dot2(a, 1, r_prev, bad, out, dots), kpm::Error);
+}
+
+// ---------------------------------------------------------------------------
+// Row-wise rescale against the triplet-sort reference.
+
+using kpm::linalg::CrsMatrixZ;
+using kpm::linalg::SpectralTransform;
+using kpm::reference::identical_crs;
+using kpm::reference::reference_rescale;
+
+/// The three transforms of the sweep: Gershgorin-derived (widened by one on
+/// each side when a single-site lattice makes it a point), centred on 0 and
+/// off-centre.
+std::vector<SpectralTransform> sweep_transforms(kpm::linalg::SpectralBounds gershgorin) {
+  if (!(gershgorin.upper > gershgorin.lower))
+    gershgorin = {gershgorin.lower - 1.0, gershgorin.upper + 1.0};
+  return {SpectralTransform(gershgorin), SpectralTransform({-7.5, 7.5}),
+          SpectralTransform({-3.25, 9.0})};
+}
+
+TEST(CrsRescale, MatchesTripletSortOnLatticeSweep) {
+  using namespace kpm::lattice;
+  std::size_t cases = 0;
+  for (Boundary bc : {Boundary::Periodic, Boundary::Open})
+    for (std::size_t edge = 1; edge <= 5; ++edge)
+      for (const auto& lat : {HypercubicLattice::chain(edge, bc),
+                              HypercubicLattice::square(edge, edge, bc),
+                              HypercubicLattice::cubic(edge, edge, edge, bc)})
+        for (double nnn : {0.0, 0.3, 1.0})
+          for (double eps : {0.0, 0.7, -2.0})
+            for (double width : {-1.0, 0.0, 1.0})
+              for (bool diagonal : {true, false}) {
+                TightBindingParams p;
+                p.hopping_nnn = nnn;
+                p.onsite = eps;
+                p.store_zero_diagonal = diagonal;
+                const auto h = build_tight_binding_crs(
+                    lat, p, width < 0.0 ? OnsiteFunction{} : anderson_disorder(width, 5));
+                const kpm::linalg::MatrixOperator op(h);
+                for (const auto& t : sweep_transforms(kpm::linalg::gershgorin_bounds(op))) {
+                  EXPECT_TRUE(identical_crs(rescale(h, t), reference_rescale(h, t)))
+                      << lat.describe() << " t'=" << nnn << " eps=" << eps << " W=" << width
+                      << " diagonal=" << diagonal << " center=" << t.center();
+                  ++cases;
+                }
+              }
+  EXPECT_EQ(cases, 3u * 1620u);
+}
+
+TEST(CrsRescale, ZeroCenterDropsStructuralZeros) {
+  // The paper's cubic layout stores a zero diagonal; with a+ == 0 nothing is
+  // added to it, so the rescaled matrix keeps only the hoppings.
+  const auto h =
+      kpm::lattice::build_tight_binding_crs(kpm::lattice::HypercubicLattice::cubic(3, 3, 3));
+  ASSERT_EQ(h.nnz(), 27u * 7u);
+  const SpectralTransform t({-6.0, 6.0}, 0.0);
+  ASSERT_EQ(t.center(), 0.0);
+  const auto ht = rescale(h, t);
+  EXPECT_EQ(ht.nnz(), 27u * 6u);
+  for (std::size_t r = 0; r < ht.rows(); ++r)
+    for (auto k = ht.row_ptr()[r]; k < ht.row_ptr()[r + 1]; ++k)
+      EXPECT_NE(static_cast<std::size_t>(ht.col_idx()[static_cast<std::size_t>(k)]), r);
+  EXPECT_TRUE(identical_crs(ht, reference_rescale(h, t)));
+}
+
+TEST(CrsRescale, RowsWithoutDiagonalGainItInColumnOrder) {
+  // Rows 0 and 3 lack a diagonal (row 3 is empty); row 1 holds one that
+  // the shift cancels exactly, so it is dropped.
+  TripletBuilder b(4, 4);
+  b.add(0, 1, 1.5);
+  b.add(0, 3, -0.25);
+  b.add(1, 1, 2.0);
+  b.add(1, 2, 0.5);
+  b.add(2, 0, -1.0);
+  b.add(2, 2, 4.0);
+  const auto h = b.build();
+  for (const auto& t : sweep_transforms({1.0, 3.0})) {
+    const auto ht = rescale(h, t);
+    EXPECT_TRUE(identical_crs(ht, reference_rescale(h, t))) << "center " << t.center();
+    if (t.center() == 0.0) continue;
+    const double shift = -t.center() * (1.0 / t.half_width());
+    EXPECT_EQ(ht.col_idx()[0], 0);
+    EXPECT_EQ(ht.at(0, 0), shift);
+    EXPECT_EQ(ht.at(3, 3), shift);
+  }
+  const SpectralTransform cancel({1.0, 3.0}, 0.0);  // a+ = 2 = h_11
+  const auto ht = rescale(h, cancel);
+  EXPECT_EQ(ht.col_idx()[static_cast<std::size_t>(ht.row_ptr()[1])], 2);
+  EXPECT_TRUE(identical_crs(ht, reference_rescale(h, cancel)));
+}
+
+TEST(CrsRescale, NegativeZeroEntriesMatchTheMerge) {
+  // -0.0 is stored (on and off the diagonal); the merge starts each sum
+  // from +0.0 and drops sums equal to zero.
+  const CrsMatrix h(3, 3, {0, 2, 4, 5}, {0, 2, 0, 1, 2}, {-0.0, 1.0, -0.0, -0.0, 3.0});
+  for (const auto& t : sweep_transforms({-2.0, 4.0}))
+    EXPECT_TRUE(identical_crs(rescale(h, t), reference_rescale(h, t))) << "center " << t.center();
+}
+
+TEST(CrsRescale, ComplexMatchesTripletSortOnPeierlsLattices) {
+  using kpm::lattice::Boundary;
+  std::size_t cases = 0;
+  for (std::size_t lx = 2; lx <= 6; ++lx)
+    for (std::size_t p = 0; p < lx; ++p)
+      for (Boundary bc : {Boundary::Periodic, Boundary::Open}) {
+        const double phi = static_cast<double>(p) / static_cast<double>(lx);
+        const auto h = kpm::lattice::build_square_flux_crs(lx, lx + 1, phi, 1.0, bc);
+        for (const auto& t : sweep_transforms(h.gershgorin())) {
+          EXPECT_TRUE(identical_crs(rescale(h, t), reference_rescale(h, t)))
+              << lx << "x" << lx + 1 << " phi=" << phi << " center=" << t.center();
+          ++cases;
+        }
+      }
+  EXPECT_EQ(cases, 3u * 2u * (2 + 3 + 4 + 5 + 6));
+}
+
+TEST(CrsRescale, ComplexNegativeZeroComponentsMatchTheMerge) {
+  using C = CrsMatrixZ::Complex;
+  const CrsMatrixZ h(3, 3, {0, 2, 3, 4}, {0, 1, 0, 2},
+                     {C(-0.0, 0.0), C(1.0, -0.0), C(1.0, 0.0), C(-0.0, -0.0)});
+  for (const auto& t : sweep_transforms({-2.0, 4.0}))
+    EXPECT_TRUE(identical_crs(rescale(h, t), reference_rescale(h, t))) << "center " << t.center();
 }
 
 }  // namespace

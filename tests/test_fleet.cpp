@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -423,6 +424,16 @@ TEST(Fleet, CostAwareCacheBeatsLruOnSkewedCosts) {
   EXPECT_GT(cost.cache.admit_refused, 0u)
       << "cost-aware must have refused at least one cheap admission";
   EXPECT_EQ(lru.cache.admit_refused, 0u) << "LRU never refuses";
+}
+
+TEST(Fleet, ModelDisorderMustBeFiniteAndNonNegative) {
+  // A negative or non-finite width is refused, not read as a clean lattice.
+  for (double width : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+    auto spec = square_spec(4);
+    spec.disorder = width;
+    EXPECT_THROW((void)serve::build_model_matrix(spec), kpm::Error) << width;
+  }
 }
 
 // --- GPU timeline pricing -------------------------------------------------

@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
+#include "common/error.hpp"
 #include "diag/tridiag.hpp"
 #include "lattice/hamiltonian.hpp"
 #include "lattice/lattice.hpp"
+#include "triplet_reference.hpp"
 
 namespace {
 
@@ -117,6 +121,77 @@ TEST(Hamiltonian, DisorderBreaksTranslationInvarianceOfSpectrum) {
 TEST(Hamiltonian, ClosedFormSpectrumRequiresPeriodic) {
   const auto lat = HypercubicLattice::chain(4, Boundary::Open);
   EXPECT_THROW((void)periodic_tight_binding_spectrum(lat), kpm::Error);
+}
+
+TEST(Hamiltonian, ChainAlongYHopsLikeAChainAlongX) {
+  // A 1 x 7 x 1 lattice is a 7-site chain with the same site indices; its
+  // next-nearest hops run along y, not onto the site itself along x.
+  TightBindingParams p;
+  p.hopping_nnn = 0.3;
+  p.onsite = 0.7;
+  const HypercubicLattice along_y({1, 7, 1}, Boundary::Periodic);
+  const auto chain = build_tight_binding_crs(HypercubicLattice::chain(7), p);
+  EXPECT_TRUE(kpm::reference::identical_crs(build_tight_binding_crs(along_y, p), chain));
+  auto eig = kpm::diag::symmetric_eigenvalues(build_tight_binding_dense(along_y, p));
+  auto expected = periodic_tight_binding_spectrum(along_y, p);
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(eig.size(), expected.size());
+  for (std::size_t i = 0; i < eig.size(); ++i) EXPECT_NEAR(eig[i], expected[i], 1e-10);
+}
+
+TEST(Hamiltonian, AndersonDisorderRejectsNonFiniteWidth) {
+  EXPECT_THROW((void)anderson_disorder(std::nan(""), 1), kpm::Error);
+  EXPECT_THROW((void)anderson_disorder(std::numeric_limits<double>::infinity(), 1), kpm::Error);
+  EXPECT_THROW((void)anderson_disorder(-1.0, 1), kpm::Error);
+}
+
+/// Every lattice of the set-up sweep: chain, square and cubic, edges 1-5,
+/// both boundaries.
+std::vector<HypercubicLattice> sweep_lattices() {
+  std::vector<HypercubicLattice> out;
+  for (Boundary bc : {Boundary::Periodic, Boundary::Open})
+    for (std::size_t edge = 1; edge <= 5; ++edge) {
+      out.push_back(HypercubicLattice::chain(edge, bc));
+      out.push_back(HypercubicLattice::square(edge, edge, bc));
+      out.push_back(HypercubicLattice::cubic(edge, edge, edge, bc));
+    }
+  return out;
+}
+
+TEST(Hamiltonian, StencilAssemblyMatchesTripletSortBytewise) {
+  // NNN hopping, uniform eps, Anderson disorder (none, W = 0, W = 1) and the
+  // structural diagonal on and off: 1,620 operators, each byte-identical to
+  // the triplet-sort assembly.
+  std::size_t cases = 0;
+  for (const auto& lat : sweep_lattices())
+    for (double nnn : {0.0, 0.3, 1.0})
+      for (double eps : {0.0, 0.7, -2.0})
+        for (double width : {-1.0, 0.0, 1.0})
+          for (bool diagonal : {true, false}) {
+            TightBindingParams p;
+            p.hopping_nnn = nnn;
+            p.onsite = eps;
+            p.store_zero_diagonal = diagonal;
+            const OnsiteFunction onsite =
+                width < 0.0 ? OnsiteFunction{} : anderson_disorder(width, 11);
+            EXPECT_TRUE(kpm::reference::identical_crs(build_tight_binding_crs(lat, p, onsite),
+                                                      kpm::reference::reference_tight_binding(
+                                                          lat, p, onsite)))
+                << lat.describe() << " t'=" << nnn << " eps=" << eps << " W=" << width
+                << " diagonal=" << diagonal;
+            ++cases;
+          }
+  EXPECT_EQ(cases, 1620u);
+}
+
+TEST(Hamiltonian, NeighbourWalksMatchCoordinateStencil) {
+  for (const auto& lat : sweep_lattices())
+    for (std::size_t i = 0; i < lat.sites(); ++i) {
+      EXPECT_EQ(lat.neighbours(i), kpm::reference::reference_neighbours(lat, i))
+          << lat.describe() << " site " << i;
+      EXPECT_EQ(lat.next_nearest_neighbours(i), kpm::reference::reference_next_nearest(lat, i))
+          << lat.describe() << " site " << i;
+    }
 }
 
 }  // namespace

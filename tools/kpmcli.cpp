@@ -110,6 +110,13 @@ struct MetricsSink {
   }
 };
 
+/// Validates a floating-point flag that must not be negative (a disorder
+/// width, a duration).  The parser has already refused NaN and infinities.
+double parse_nonnegative(double value, const char* flag) {
+  KPM_REQUIRE(value >= 0.0, strprintf("kpmcli: --%s must be >= 0", flag));
+  return value;
+}
+
 /// Built workload: Hamiltonian + transform + rescaled operator storage.
 struct Workload {
   linalg::CrsMatrix h;
@@ -122,8 +129,9 @@ struct Workload {
 Workload build_workload(const std::string& kind, std::size_t edge, double disorder,
                         std::uint64_t seed) {
   Workload w;
-  const auto onsite =
-      disorder > 0.0 ? lattice::anderson_disorder(disorder, seed) : lattice::OnsiteFunction{};
+  const auto onsite = parse_nonnegative(disorder, "disorder") > 0.0
+                          ? lattice::anderson_disorder(disorder, seed)
+                          : lattice::OnsiteFunction{};
   if (kind == "chain") {
     const auto lat = lattice::HypercubicLattice::chain(edge);
     w.h = lattice::build_tight_binding_crs(lat, {}, onsite);
@@ -387,7 +395,7 @@ int cmd_sigma(int argc, const char* const* argv) {
       *kind == "chain" ? lattice::HypercubicLattice::chain(e)
       : *kind == "square" ? lattice::HypercubicLattice::square(e, e)
                           : lattice::HypercubicLattice::cubic(e, e, e);
-  const auto onsite = *disorder > 0.0
+  const auto onsite = parse_nonnegative(*disorder, "disorder") > 0.0
                           ? lattice::anderson_disorder(*disorder, static_cast<std::uint64_t>(*seed))
                           : lattice::OnsiteFunction{};
   const auto h = lattice::build_tight_binding_crs(lat, {}, onsite);
@@ -464,7 +472,8 @@ int cmd_evolve(int argc, const char* const* argv) {
 
   std::vector<std::complex<double>> psi(lat.sites(), {0.0, 0.0});
   psi[lat.sites() / 2] = {1.0, 0.0};
-  const double dt = *time / static_cast<double>(parse_count(*steps, "steps", 1));
+  const double dt =
+      parse_nonnegative(*time, "time") / static_cast<double>(parse_count(*steps, "steps", 1));
   std::printf("chain of %zu sites, |psi(0)> localized at the center\n\n", lat.sites());
   Table table({"t", "P(origin)", "spread", "norm"});
   for (int s = 0; s <= *steps; ++s) {
@@ -978,7 +987,7 @@ serve::ModelSpec synth_model_of(const SynthFlags& f) {
   spec.name = "m0";
   spec.lattice = *f.lattice;
   spec.edge = parse_edge(*f.edge);
-  spec.disorder = *f.disorder;
+  spec.disorder = parse_nonnegative(*f.disorder, "disorder");
   spec.seed = static_cast<std::uint64_t>(*f.model_seed);
   if (*f.currents) spec.currents = {0};
   return spec;
@@ -1096,7 +1105,7 @@ int cmd_fleet(int argc, const char* const* argv) {
   config.shard_config.cache_policy = serve::cache_policy_from_string(*cache_policy);
   config.ring.virtual_nodes = parse_count(*vnodes, "vnodes");
   if (*ring_seed != 0) config.ring.seed = static_cast<std::uint64_t>(*ring_seed);
-  config.slo_seconds = *slo;
+  config.slo_seconds = parse_nonnegative(*slo, "slo");
   for (std::int64_t i = 0; i < *shards; ++i) {
     serve::FleetShardSpec spec;
     spec.name = strprintf("shard%02lld", static_cast<long long>(i));
