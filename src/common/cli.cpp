@@ -99,15 +99,14 @@ void CliParser::parse(int argc, const char* const* argv) {
       if (i + 1 >= argc) fail("option --" + name + " needs a value");
       value = argv[++i];
     }
+    std::size_t used = value->size();
     try {
       switch (opt->kind) {
         case Kind::Int:
-          opt->int_value = std::stoll(*value);
+          opt->int_value = std::stoll(*value, &used);
           break;
         case Kind::Double:
-          opt->double_value = std::stod(*value);
-          if (!std::isfinite(opt->double_value))
-            fail("value '" + *value + "' for --" + name + " must be a finite number");
+          opt->double_value = std::stod(*value, &used);
           break;
         case Kind::String:
           opt->string_value = *value;
@@ -116,8 +115,12 @@ void CliParser::parse(int argc, const char* const* argv) {
           break;
       }
     } catch (const std::exception&) {
-      fail("cannot parse value '" + *value + "' for --" + name);
+      used = std::string::npos;
     }
+    // The whole value must be a number: "8x" is an error, not 8.
+    if (used != value->size()) fail("cannot parse value '" + *value + "' for --" + name);
+    if (opt->kind == Kind::Double && !std::isfinite(opt->double_value))
+      fail("value '" + *value + "' for --" + name + " must be a finite number");
   }
 }
 

@@ -35,7 +35,8 @@ class CliParser {
   const bool* add_flag(const std::string& name, const std::string& help);
 
   /// Parses argv.  On `--help` prints usage and std::exit(0); on malformed
-  /// input prints the problem + usage and std::exit(2).
+  /// input (including a number with trailing characters, e.g. "8x") prints
+  /// the problem + usage and std::exit(2).
   void parse(int argc, const char* const* argv);
 
   /// Renders the usage/help text.

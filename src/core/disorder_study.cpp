@@ -3,10 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "core/moments_cluster.hpp"
-#include "core/moments_cpu.hpp"
-#include "core/moments_gpu.hpp"
-#include "core/moments_multigpu.hpp"
 #include "linalg/operator.hpp"
 
 namespace kpm::core {
@@ -23,6 +19,7 @@ DisorderStudy run_disorder_study(const HamiltonianFactory& factory,
   study.transform = linalg::SpectralTransform(options.window, options.bounds_epsilon);
   study.realizations = options.realizations;
 
+  const auto engine = make_engine(options.compute);
   std::vector<double> sum, sum_sq;
 
   for (std::size_t r = 0; r < options.realizations; ++r) {
@@ -40,43 +37,7 @@ DisorderStudy run_disorder_study(const HamiltonianFactory& factory,
     MomentParams params = options.params;
     params.seed += r;  // decorrelate random vectors across realizations
 
-    MomentResult moments;
-    switch (options.engine) {
-      case EngineKind::CpuReference: {
-        CpuMomentEngine engine;
-        moments = engine.compute(op, params, options.sample_instances);
-        break;
-      }
-      case EngineKind::CpuPaired: {
-        CpuPairedMomentEngine engine;
-        moments = engine.compute(op, params, options.sample_instances);
-        break;
-      }
-      case EngineKind::CpuParallel: {
-        CpuParallelMomentEngine engine(options.cpu_threads);
-        moments = engine.compute(op, params, options.sample_instances);
-        break;
-      }
-      case EngineKind::Gpu: {
-        GpuMomentEngine engine(options.gpu);
-        moments = engine.compute(op, params, options.sample_instances);
-        break;
-      }
-      case EngineKind::GpuCluster: {
-        MultiGpuEngineConfig cfg;
-        cfg.per_device = options.gpu;
-        MultiGpuMomentEngine engine(cfg);
-        moments = engine.compute(op, params, options.sample_instances);
-        break;
-      }
-      case EngineKind::ClusterSharded: {
-        ClusterEngineConfig cfg;
-        cfg.threads = options.cpu_threads;
-        ClusterMomentEngine engine(cfg);
-        moments = engine.compute(op, params, options.sample_instances);
-        break;
-      }
-    }
+    const MomentResult moments = engine->compute(op, params, options.compute.sample_instances);
     study.total_model_seconds += moments.model_seconds;
 
     const auto curve = reconstruct_dos(moments.mu, study.transform, options.reconstruct);

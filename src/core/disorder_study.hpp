@@ -3,8 +3,8 @@
 // The paper's S "realizations" average over random-vector sets; in
 // disordered-system studies the same loop structure averages over random
 // *Hamiltonians*.  This driver owns that loop: it builds one Hamiltonian
-// per disorder realization (via a user factory), runs a moment engine on
-// each, and returns the mean DoS with a pointwise standard error — the
+// per disorder realization (via a user factory), runs one moment engine over
+// all of them, and returns the mean DoS with a pointwise standard error — the
 // error bars disorder papers put on their figures.
 #pragma once
 
@@ -27,10 +27,7 @@ struct DisorderStudyOptions {
   std::size_t realizations = 8;         ///< disorder samples
   MomentParams params{};                ///< per-realization KPM parameters
   ReconstructOptions reconstruct{};
-  EngineKind engine = EngineKind::Gpu;
-  GpuEngineConfig gpu{};
-  int cpu_threads = 4;                  ///< used by CpuParallel
-  std::size_t sample_instances = 0;
+  MomentComputeOptions compute{.engine = EngineKind::Gpu};  ///< engine and its knobs
   /// Common spectral window for all realizations; must contain every
   /// realization's spectrum (e.g. clean bounds widened by W/2).
   linalg::SpectralBounds window{-1.0, 1.0};

@@ -1,5 +1,6 @@
 #include "core/highlevel.hpp"
 
+#include <iterator>
 #include <memory>
 
 #include "common/error.hpp"
@@ -10,50 +11,64 @@
 
 namespace kpm::core {
 
-const char* to_string(EngineKind k) noexcept {
-  switch (k) {
-    case EngineKind::CpuReference:
-      return "cpu-reference";
-    case EngineKind::CpuPaired:
-      return "cpu-paired";
-    case EngineKind::CpuParallel:
-      return "cpu-parallel";
-    case EngineKind::Gpu:
-      return "gpu";
-    case EngineKind::GpuCluster:
-      return "gpu-cluster";
-    case EngineKind::ClusterSharded:
-      return "cluster-sharded";
-  }
-  return "?";
+namespace {
+
+constexpr EngineInfo kEngines[] = {
+    {EngineKind::CpuReference, "cpu-reference", "cpu", true, false},
+    {EngineKind::CpuPaired, "cpu-paired", "", true, false},
+    {EngineKind::CpuParallel, "cpu-parallel", "", true, true},
+    {EngineKind::Gpu, "gpu", "", false, false},
+    {EngineKind::GpuCluster, "gpu-cluster", "multigpu", false, false},
+    {EngineKind::ClusterSharded, "cluster-sharded", "cluster", true, true},
+};
+
+constexpr bool rows_in_enum_order() {
+  for (std::size_t i = 0; i < std::size(kEngines); ++i)
+    if (static_cast<std::size_t>(kEngines[i].kind) != i) return false;
+  return true;
+}
+static_assert(rows_in_enum_order(), "engine table rows must follow EngineKind order");
+
+}  // namespace
+
+std::span<const EngineInfo> engine_table() noexcept { return kEngines; }
+
+const EngineInfo& engine_info(EngineKind k) noexcept {
+  return kEngines[static_cast<std::size_t>(k)];
 }
 
-MomentResult compute_moments(const linalg::MatrixOperator& h_tilde, const MomentParams& params,
-                             const MomentComputeOptions& options) {
-  params.validate();
+const char* to_string(EngineKind k) noexcept { return engine_info(k).name; }
+
+EngineKind engine_kind_from_string(std::string_view name) {
+  for (const EngineInfo& e : kEngines)
+    if (name == e.name || (*e.alias != '\0' && name == e.alias)) return e.kind;
+  KPM_FAIL("unknown engine '" + std::string(name) + "' (" + engine_names() + ")");
+}
+
+std::string engine_names() {
+  std::string out;
+  for (const EngineInfo& e : kEngines)
+    for (const char* spelling : {e.name, e.alias})
+      if (*spelling != '\0') out += (out.empty() ? "" : "|") + std::string(spelling);
+  return out;
+}
+
+std::unique_ptr<MomentEngine> make_engine(const MomentComputeOptions& options) {
   switch (options.engine) {
-    case EngineKind::CpuReference: {
-      CpuMomentEngine engine;
-      return engine.compute(h_tilde, params, options.sample_instances);
-    }
-    case EngineKind::CpuPaired: {
-      CpuPairedMomentEngine engine;
-      return engine.compute(h_tilde, params, options.sample_instances);
-    }
-    case EngineKind::CpuParallel: {
-      CpuParallelMomentEngine engine(options.cpu_threads);
-      return engine.compute(h_tilde, params, options.sample_instances);
-    }
-    case EngineKind::Gpu: {
-      GpuMomentEngine engine(options.gpu);
-      return engine.compute(h_tilde, params, options.sample_instances);
-    }
+    case EngineKind::CpuReference:
+      return std::make_unique<CpuMomentEngine>();
+    case EngineKind::CpuPaired:
+      return std::make_unique<CpuPairedMomentEngine>();
+    case EngineKind::CpuParallel:
+      return std::make_unique<CpuParallelMomentEngine>(options.cpu_threads);
+    case EngineKind::Gpu:
+      return std::make_unique<GpuMomentEngine>(options.gpu);
     case EngineKind::GpuCluster: {
       MultiGpuEngineConfig cfg;
       cfg.per_device = options.gpu;
       cfg.device_count = options.cluster_devices;
-      MultiGpuMomentEngine engine(cfg);
-      return engine.compute(h_tilde, params, options.sample_instances);
+      cfg.link = gpusim::InterconnectSpec::from_name(options.cluster_interconnect);
+      return std::make_unique<MultiGpuMomentEngine>(cfg);
     }
     case EngineKind::ClusterSharded: {
       ClusterEngineConfig cfg;
@@ -61,11 +76,16 @@ MomentResult compute_moments(const linalg::MatrixOperator& h_tilde, const Moment
       cfg.halo_width = options.cluster_halo;
       cfg.link = gpusim::InterconnectSpec::from_name(options.cluster_interconnect);
       cfg.threads = options.cpu_threads;
-      ClusterMomentEngine engine(cfg);
-      return engine.compute(h_tilde, params, options.sample_instances);
+      return std::make_unique<ClusterMomentEngine>(cfg);
     }
   }
-  KPM_FAIL("compute_moments: unknown engine kind");
+  KPM_FAIL("make_engine: unknown engine kind");
+}
+
+MomentResult compute_moments(const linalg::MatrixOperator& h_tilde, const MomentParams& params,
+                             const MomentComputeOptions& options) {
+  params.validate();
+  return make_engine(options)->compute(h_tilde, params, options.sample_instances);
 }
 
 DosStudy compute_dos_study(const linalg::MatrixOperator& h, const DosStudyOptions& options) {
@@ -86,10 +106,7 @@ DosStudy compute_dos_study(const linalg::MatrixOperator& h, const DosStudyOption
   if (options.use_sell_storage) {
     KPM_REQUIRE(h.storage() == linalg::Storage::Crs,
                 "compute_dos_study: SELL storage needs a CRS input Hamiltonian");
-    KPM_REQUIRE(options.engine == EngineKind::CpuReference ||
-                    options.engine == EngineKind::CpuPaired ||
-                    options.engine == EngineKind::CpuParallel ||
-                    options.engine == EngineKind::ClusterSharded,
+    KPM_REQUIRE(engine_info(options.compute.engine).host_only,
                 "compute_dos_study: SELL-C-sigma storage is host-only (CPU engines)");
     crs_tilde = linalg::rescale(*h.crs(), study.transform);
     sell_tilde =
@@ -104,16 +121,7 @@ DosStudy compute_dos_study(const linalg::MatrixOperator& h, const DosStudyOption
   }
 
   // 3. Moments on the chosen engine, via the shared moments-only surface.
-  MomentComputeOptions moment_options;
-  moment_options.engine = options.engine;
-  moment_options.gpu = options.gpu;
-  moment_options.cluster_devices = options.cluster_devices;
-  moment_options.cpu_threads = options.cpu_threads;
-  moment_options.sample_instances = options.sample_instances;
-  moment_options.cluster_nodes = options.cluster_nodes;
-  moment_options.cluster_halo = options.cluster_halo;
-  moment_options.cluster_interconnect = options.cluster_interconnect;
-  study.moments = compute_moments(*op_tilde, options.params, moment_options);
+  study.moments = compute_moments(*op_tilde, options.params, options.compute);
 
   // 4. Reconstruction.
   study.curve = reconstruct_dos(study.moments.mu, study.transform, options.reconstruct);

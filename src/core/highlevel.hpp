@@ -5,9 +5,17 @@
 // want the paper's end result.  `compute_dos_study` owns the intermediate
 // rescaled matrix internally, picks the requested engine, and returns the
 // moments, the curve, and the timing in one struct.
+//
+// The engine table and `make_engine` are the one place an `EngineKind`
+// becomes a name or an engine: every study, the serving layer and kpmcli
+// select their engine through them.
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <span>
+#include <string>
+#include <string_view>
 
 #include "core/moments.hpp"
 #include "core/moments_gpu.hpp"
@@ -27,11 +35,34 @@ enum class EngineKind {
   ClusterSharded,  ///< domain-decomposed nodes with halo exchange (bit-identical)
 };
 
+/// One row of the engine table: how an engine kind is spelled and where it
+/// runs.  Every name lookup, help string and host-only check reads it.
+struct EngineInfo {
+  EngineKind kind;
+  const char* name;   ///< canonical name (`to_string`)
+  const char* alias;  ///< second accepted spelling ("" when none)
+  bool host_only;     ///< host vectors only: SELL-C-sigma storage, SpMMV blocks > 1
+  bool host_threads;  ///< runs a host thread pool sized by `cpu_threads`
+};
+
+/// The engine table, one row per EngineKind in declaration order.
+[[nodiscard]] std::span<const EngineInfo> engine_table() noexcept;
+
+/// The table row of `k`.
+[[nodiscard]] const EngineInfo& engine_info(EngineKind k) noexcept;
+
 /// Returns "cpu-reference", "cpu-paired", "cpu-parallel", "gpu",
 /// "gpu-cluster" or "cluster-sharded".
 const char* to_string(EngineKind k) noexcept;
 
-/// Options of a moments-only computation (see `compute_moments`).
+/// Inverse of `to_string`; also accepts each row's alias ("cpu",
+/// "multigpu", "cluster").  Throws kpm::Error for unknown names.
+[[nodiscard]] EngineKind engine_kind_from_string(std::string_view name);
+
+/// Every accepted spelling, '|'-separated in table order (for help text).
+[[nodiscard]] std::string engine_names();
+
+/// Options of a moments-only computation (see `make_engine`).
 struct MomentComputeOptions {
   EngineKind engine = EngineKind::CpuReference;
   GpuEngineConfig gpu{};             ///< used by Gpu / GpuCluster
@@ -39,12 +70,16 @@ struct MomentComputeOptions {
   int cpu_threads = 4;               ///< used by CpuParallel / ClusterSharded (>= 1)
   std::size_t sample_instances = 0;  ///< 0 = execute all instances
 
-  // ClusterSharded only: node count, ghost layers per exchange, and the
-  // modeled fabric ("ib-qdr", "pcie" or "ideal").
+  // ClusterSharded only: node count, ghost layers per exchange.  The
+  // modeled fabric ("ib-qdr", "pcie" or "ideal") also links GpuCluster.
   std::size_t cluster_nodes = 4;
   std::size_t cluster_halo = 1;
   std::string cluster_interconnect = "ib-qdr";
 };
+
+/// Builds the engine `options` selects, configured from its fields
+/// (`sample_instances` is a per-call argument of `MomentEngine::compute`).
+[[nodiscard]] std::unique_ptr<MomentEngine> make_engine(const MomentComputeOptions& options);
 
 /// The reusable moments-only surface: runs `params` on the chosen engine
 /// against an ALREADY-RESCALED operator H~.  This is the expensive half of
@@ -59,19 +94,10 @@ struct MomentComputeOptions {
 struct DosStudyOptions {
   MomentParams params{};
   ReconstructOptions reconstruct{};
-  EngineKind engine = EngineKind::Gpu;
-  GpuEngineConfig gpu{};              ///< used by Gpu / GpuCluster
-  std::size_t cluster_devices = 4;    ///< used by GpuCluster
-  int cpu_threads = 4;                ///< used by CpuParallel / ClusterSharded (>= 1)
-  std::size_t sample_instances = 0;   ///< 0 = execute all instances
-
-  // ClusterSharded only (see MomentComputeOptions).
-  std::size_t cluster_nodes = 4;
-  std::size_t cluster_halo = 1;
-  std::string cluster_interconnect = "ib-qdr";
+  MomentComputeOptions compute{.engine = EngineKind::Gpu};  ///< engine and its knobs
   double bounds_epsilon = 0.01;       ///< spectral padding
   bool use_lanczos_bounds = false;    ///< tighter bounds via Lanczos instead of Gershgorin
-  bool use_sell_storage = false;      ///< run CPU engines on SELL-C-sigma H~ (CRS input only)
+  bool use_sell_storage = false;      ///< run host-only engines on SELL-C-sigma H~ (CRS input only)
   std::size_t sell_chunk = 32;        ///< SELL C (chunk height)
   std::size_t sell_sigma = 256;       ///< SELL sigma (sort window)
 };

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "core/damping.hpp"
+#include "core/highlevel.hpp"
 #include "lattice/current.hpp"
 #include "lattice/hamiltonian.hpp"
 #include "lattice/lattice.hpp"
@@ -49,7 +50,7 @@ RequestBase parse_base(const JsonValue& r) {
               "workload: request 'arrival' must be >= 0 (the simulated clock starts at 0)");
   b.priority = static_cast<int>(number_or(r, "priority", 0.0));
   b.deadline_seconds = number_or(r, "deadline", 0.0);
-  b.engine = engine_kind_from_string(string_or(r, "engine", "cpu-parallel"));
+  b.engine = core::engine_kind_from_string(string_or(r, "engine", "cpu-parallel"));
   b.moments.num_moments = size_or(r, "moments", b.moments.num_moments);
   b.moments.random_vectors = size_or(r, "R", b.moments.random_vectors);
   b.moments.realizations = size_or(r, "S", b.moments.realizations);
@@ -87,16 +88,6 @@ Request parse_request(const JsonValue& r) {
 }
 
 }  // namespace
-
-core::EngineKind engine_kind_from_string(const std::string& name) {
-  if (name == "cpu" || name == "cpu-reference") return core::EngineKind::CpuReference;
-  if (name == "cpu-paired") return core::EngineKind::CpuPaired;
-  if (name == "cpu-parallel") return core::EngineKind::CpuParallel;
-  if (name == "gpu") return core::EngineKind::Gpu;
-  if (name == "gpu-cluster") return core::EngineKind::GpuCluster;
-  KPM_FAIL("unknown engine '" + name +
-           "' (cpu|cpu-reference|cpu-paired|cpu-parallel|gpu|gpu-cluster)");
-}
 
 ReplayWorkload parse_workload(const std::string& json_text) {
   const JsonValue doc = obs::parse_json(json_text);

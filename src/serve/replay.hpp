@@ -28,6 +28,7 @@
 //       {"kind": "sigma", ..., "axis": 0}
 //     ]
 //   }
+// "engine" takes any spelling `core::engine_kind_from_string` accepts.
 // Unknown request fields are ignored; missing optional fields take the
 // library defaults documented in serve/request.hpp.
 #pragma once
@@ -77,9 +78,5 @@ struct ReplayWorkload {
 /// Builds and registers every model of `workload` (Hamiltonian plus the
 /// requested current operators) into `server`.
 void register_models(Server& server, const ReplayWorkload& workload);
-
-/// "cpu"/"cpu-reference", "cpu-paired", "cpu-parallel", "gpu" or
-/// "gpu-cluster".  Throws kpm::Error for unknown names.
-[[nodiscard]] core::EngineKind engine_kind_from_string(const std::string& name);
 
 }  // namespace kpm::serve

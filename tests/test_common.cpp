@@ -130,6 +130,27 @@ TEST(Cli, DefaultsSurviveWhenAbsent) {
   EXPECT_EQ(*n, 10);
 }
 
+TEST(Cli, RejectsTrailingGarbage) {
+  // A number must use the whole value: std::stoll/std::stod alone would
+  // read "8x" as 8 and "0.5q" as 0.5.
+  auto parse_one = [](const char* arg) {
+    kpm::CliParser cli("prog", "test");
+    cli.add_int("n", 10, "an int");
+    cli.add_double("x", 0.5, "a double");
+    const char* argv[] = {"prog", arg};
+    cli.parse(2, argv);
+  };
+  EXPECT_EXIT(parse_one("--n=8x"), ::testing::ExitedWithCode(2),
+              "cannot parse value '8x' for --n");
+  EXPECT_EXIT(parse_one("--n=8abc"), ::testing::ExitedWithCode(2),
+              "cannot parse value '8abc' for --n");
+  EXPECT_EXIT(parse_one("--x=0.5q"), ::testing::ExitedWithCode(2),
+              "cannot parse value '0.5q' for --x");
+  EXPECT_EXIT(parse_one("--x=1e3x"), ::testing::ExitedWithCode(2),
+              "cannot parse value '1e3x' for --x");
+  EXPECT_EXIT(parse_one("--n="), ::testing::ExitedWithCode(2), "cannot parse value '' for --n");
+}
+
 TEST(Cli, UsageMentionsEveryOption) {
   kpm::CliParser cli("prog", "does things");
   cli.add_int("moments", 1, "number of moments");

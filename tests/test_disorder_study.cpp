@@ -20,7 +20,7 @@ DisorderStudyOptions base_options(double width) {
   o.params.random_vectors = 16;
   o.params.realizations = 1;
   o.reconstruct.points = 128;
-  o.engine = EngineKind::CpuReference;
+  o.compute.engine = EngineKind::CpuReference;
   o.window = {-6.0 - width / 2.0, 6.0 + width / 2.0};
   return o;
 }
@@ -103,9 +103,9 @@ TEST(DisorderStudy, RejectsBadOptions) {
 
 TEST(DisorderStudy, GpuEngineAgreesWithCpuEngine) {
   auto o = base_options(1.0);
-  o.engine = EngineKind::CpuReference;
+  o.compute.engine = EngineKind::CpuReference;
   const auto a = run_disorder_study(cubic_factory(1.0), o);
-  o.engine = EngineKind::Gpu;
+  o.compute.engine = EngineKind::Gpu;
   const auto b = run_disorder_study(cubic_factory(1.0), o);
   for (std::size_t j = 0; j < a.mean.density.size(); ++j)
     EXPECT_NEAR(a.mean.density[j], b.mean.density[j], 1e-12);

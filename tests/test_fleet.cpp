@@ -234,6 +234,23 @@ TEST(Synth, WorkloadJsonRoundTripsBitExactly) {
   EXPECT_TRUE(parsed.config_sets_workers);
 }
 
+TEST(Synth, WorkloadJsonRoundTripsEveryEngineKind) {
+  // workload_json writes the engine's canonical name; parse_workload must
+  // read back every name it can write.
+  for (const core::EngineInfo& e : core::engine_table()) {
+    serve::SynthConfig cfg;
+    cfg.count = 3;
+    cfg.engine = e.kind;
+    const serve::ReplayWorkload w = serve::synthesize_workload(cfg, {square_spec()});
+    const std::string json = serve::workload_json(w);
+    serve::ReplayWorkload parsed;
+    ASSERT_NO_THROW(parsed = serve::parse_workload(json)) << e.name;
+    EXPECT_EQ(serve::workload_json(parsed), json) << e.name;
+    ASSERT_EQ(parsed.requests.size(), 3u) << e.name;
+    for (const auto& r : parsed.requests) EXPECT_EQ(serve::base_of(r).engine, e.kind) << e.name;
+  }
+}
+
 TEST(Synth, ValidatesItsConfig) {
   serve::SynthConfig cfg;
   cfg.rate = 0.0;

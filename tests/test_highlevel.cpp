@@ -16,7 +16,7 @@ using namespace kpm::core;
 
 DosStudyOptions small_options(EngineKind engine) {
   DosStudyOptions o;
-  o.engine = engine;
+  o.compute.engine = engine;
   o.params.num_moments = 32;
   o.params.random_vectors = 4;
   o.params.realizations = 2;
@@ -66,8 +66,8 @@ TEST(Highlevel, CpuParallelEngineMatchesReferenceBitwise) {
   linalg::MatrixOperator op(h);
   auto o = small_options(EngineKind::CpuReference);
   const auto ref = compute_dos_study(op, o);
-  o.engine = EngineKind::CpuParallel;
-  o.cpu_threads = 3;
+  o.compute.engine = EngineKind::CpuParallel;
+  o.compute.cpu_threads = 3;
   const auto par = compute_dos_study(op, o);
   ASSERT_EQ(ref.moments.mu.size(), par.moments.mu.size());
   for (std::size_t n = 0; n < ref.moments.mu.size(); ++n)
@@ -99,7 +99,7 @@ TEST(Highlevel, SamplingPropagates) {
   const auto h = lattice::build_tight_binding_crs(lat);
   linalg::MatrixOperator op(h);
   auto o = small_options(EngineKind::Gpu);
-  o.sample_instances = 2;
+  o.compute.sample_instances = 2;
   const auto study = compute_dos_study(op, o);
   EXPECT_EQ(study.moments.instances_executed, 2u);
   EXPECT_EQ(study.moments.instances_total, 8u);
@@ -116,11 +116,11 @@ TEST(Highlevel, ModelSecondsOrdering) {
   o.params.num_moments = 512;
   o.params.random_vectors = 14;
   o.params.realizations = 128;
-  o.sample_instances = 2;
+  o.compute.sample_instances = 2;
   const double t_ref = compute_dos_study(op, o).moments.model_seconds;
-  o.engine = EngineKind::CpuPaired;
+  o.compute.engine = EngineKind::CpuPaired;
   const double t_paired = compute_dos_study(op, o).moments.model_seconds;
-  o.engine = EngineKind::Gpu;
+  o.compute.engine = EngineKind::Gpu;
   const double t_gpu = compute_dos_study(op, o).moments.model_seconds;
   EXPECT_LT(t_paired, t_ref);
   EXPECT_LT(t_gpu, t_ref);

@@ -62,7 +62,7 @@ TEST(PipelineIntegration, DisorderStudyThroughGpuClusterEngine) {
   opts.params.num_moments = 48;
   opts.params.random_vectors = 6;
   opts.params.realizations = 1;
-  opts.engine = EngineKind::GpuCluster;
+  opts.compute.engine = EngineKind::GpuCluster;
   opts.window = {-7.5, 7.5};
   const auto study = run_disorder_study(
       [&](std::size_t r) {

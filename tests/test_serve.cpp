@@ -468,11 +468,11 @@ TEST(Replay, RejectsMalformedDocuments) {
 }
 
 TEST(Replay, EngineNamesRoundTrip) {
-  EXPECT_EQ(serve::engine_kind_from_string("cpu"), core::EngineKind::CpuReference);
-  EXPECT_EQ(serve::engine_kind_from_string("cpu-reference"), core::EngineKind::CpuReference);
-  EXPECT_EQ(serve::engine_kind_from_string("cpu-parallel"), core::EngineKind::CpuParallel);
-  EXPECT_EQ(serve::engine_kind_from_string("gpu"), core::EngineKind::Gpu);
-  EXPECT_THROW((void)serve::engine_kind_from_string("abacus"), kpm::Error);
+  EXPECT_EQ(core::engine_kind_from_string("cpu"), core::EngineKind::CpuReference);
+  EXPECT_EQ(core::engine_kind_from_string("cpu-reference"), core::EngineKind::CpuReference);
+  EXPECT_EQ(core::engine_kind_from_string("cpu-parallel"), core::EngineKind::CpuParallel);
+  EXPECT_EQ(core::engine_kind_from_string("gpu"), core::EngineKind::Gpu);
+  EXPECT_THROW((void)core::engine_kind_from_string("abacus"), kpm::Error);
   EXPECT_EQ(serve::engine_class_of(core::EngineKind::CpuReference),
             serve::engine_class_of(core::EngineKind::CpuParallel))
       << "bit-identical engines share one cache class";

@@ -31,7 +31,6 @@
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "core/kpm.hpp"
-#include "core/moments_cluster.hpp"
 #include "gpusim/cluster.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/critical_path.hpp"
@@ -159,45 +158,11 @@ Workload build_workload(const std::string& kind, std::size_t edge, double disord
   return w;
 }
 
-/// Multi-node/multi-device knobs shared by dos and profile (ignored by the
-/// single-device engines).
-struct ClusterFlags {
-  std::size_t nodes = 4;
-  std::size_t halo = 1;
-  std::size_t devices = 4;
-  std::string interconnect = "ib-qdr";
-};
-
 /// Validates a --threads flag for the engines that run a host thread pool.
 int parse_threads(long long threads) {
   KPM_REQUIRE(threads >= 1, "kpmcli: --threads must be >= 1");
   KPM_REQUIRE(threads <= std::numeric_limits<int>::max(), "kpmcli: --threads is too large");
   return static_cast<int>(threads);
-}
-
-/// Builds the moment engine the dos/profile subcommand asked for.
-std::unique_ptr<core::MomentEngine> make_engine(const std::string& name, long long threads,
-                                                const ClusterFlags& cluster = {}) {
-  if (name == "gpu") return std::make_unique<core::GpuMomentEngine>();
-  if (name == "cpu") return std::make_unique<core::CpuMomentEngine>();
-  if (name == "cpu-paired") return std::make_unique<core::CpuPairedMomentEngine>();
-  if (name == "cpu-parallel")
-    return std::make_unique<core::CpuParallelMomentEngine>(parse_threads(threads));
-  if (name == "multigpu") {
-    core::MultiGpuEngineConfig cfg;
-    cfg.device_count = cluster.devices;
-    cfg.link = gpusim::InterconnectSpec::from_name(cluster.interconnect);
-    return std::make_unique<core::MultiGpuMomentEngine>(cfg);
-  }
-  if (name == "cluster") {
-    core::ClusterEngineConfig cfg;
-    cfg.node_count = cluster.nodes;
-    cfg.halo_width = cluster.halo;
-    cfg.link = gpusim::InterconnectSpec::from_name(cluster.interconnect);
-    cfg.threads = parse_threads(threads);
-    return std::make_unique<core::ClusterMomentEngine>(cfg);
-  }
-  KPM_FAIL("unknown engine '" + name + "' (gpu|cpu|cpu-paired|cpu-parallel|multigpu|cluster)");
 }
 
 /// The rescaled operator in the storage layout `--storage` asked for.  The
@@ -243,6 +208,22 @@ std::size_t parse_count(long long value, const char* flag, long long min = 0) {
   return static_cast<std::size_t>(value);
 }
 
+/// The engine options dos and profile share: the --engine table name,
+/// --threads for the engines that run a host thread pool, and the cluster
+/// flags, which are validated even where the engine ignores them.
+core::MomentComputeOptions engine_options(const std::string& engine, long long threads,
+                                          long long nodes, long long halo,
+                                          const std::string& interconnect) {
+  core::MomentComputeOptions o;
+  o.engine = core::engine_kind_from_string(engine);
+  if (core::engine_info(o.engine).host_threads) o.cpu_threads = parse_threads(threads);
+  o.cluster_nodes = parse_count(nodes, "nodes", 1);
+  o.cluster_halo = parse_count(halo, "halo", 1);
+  (void)gpusim::InterconnectSpec::from_name(interconnect);
+  o.cluster_interconnect = interconnect;
+  return o;
+}
+
 int cmd_dos(int argc, const char* const* argv) {
   CliParser cli("kpmcli dos", "density of states via stochastic KPM");
   const auto* kind = cli.add_string("lattice", "cubic", "chain|square|cubic|honeycomb");
@@ -253,8 +234,7 @@ int cmd_dos(int argc, const char* const* argv) {
   const auto* disorder = cli.add_double("disorder", 0.0, "Anderson disorder width");
   const auto* seed = cli.add_int("seed", 42, "disorder seed");
   const auto* points = cli.add_int("points", 41, "output energies");
-  const auto* engine_name =
-      cli.add_string("engine", "gpu", "gpu|cpu|cpu-paired|cpu-parallel|multigpu|cluster");
+  const auto* engine_name = cli.add_string("engine", "gpu", core::engine_names());
   const auto* threads =
       cli.add_int("threads", 4, "host threads for --engine=cpu-parallel|cluster");
   const auto* block = cli.add_int("block", 1, "SpMMV vector-block width (CPU engines)");
@@ -280,16 +260,12 @@ int cmd_dos(int argc, const char* const* argv) {
   const std::size_t block_r = parse_block(*block);
   KPM_REQUIRE(*storage == "crs" || *storage == "sell",
               "kpmcli dos: unknown --storage '" + *storage + "' (crs|sell)");
-  KPM_REQUIRE(*storage == "crs" || *engine_name != "gpu",
+  const auto options = engine_options(*engine_name, *threads, *nodes, *halo, *interconnect);
+  const bool host_only = core::engine_info(options.engine).host_only;
+  KPM_REQUIRE(*storage == "crs" || host_only,
               "kpmcli dos: --storage=sell is host-only; pick a cpu* engine");
-  KPM_REQUIRE(block_r == 1 || *engine_name != "gpu",
+  KPM_REQUIRE(block_r == 1 || host_only,
               "kpmcli dos: --block > 1 is a CPU SpMMV optimization; pick a cpu* engine");
-  ClusterFlags cluster;
-  cluster.nodes = parse_count(*nodes, "nodes", 1);
-  cluster.halo = parse_count(*halo, "halo", 1);
-  // Reject a bad fabric name even when another engine would ignore it.
-  (void)gpusim::InterconnectSpec::from_name(*interconnect);
-  cluster.interconnect = *interconnect;
   const auto os = make_operator_storage(w.h_tilde, *storage);
   const linalg::MatrixOperator& op = *os.op;
   core::MomentParams params;
@@ -297,8 +273,7 @@ int cmd_dos(int argc, const char* const* argv) {
   params.random_vectors = parse_count(*r, "R");
   params.realizations = parse_count(*s, "S");
   params.block_r = block_r;
-  const auto engine = make_engine(*engine_name, *threads, cluster);
-  const auto result = engine->compute(op, params);
+  const auto result = core::make_engine(options)->compute(op, params);
   if (!save->empty()) {
     core::MomentFile file;
     file.mu = result.mu;
@@ -776,8 +751,8 @@ int cmd_profile(int argc, const char* const* argv) {
   const auto* s = cli.add_int("S", 16, "realizations");
   const auto* disorder = cli.add_double("disorder", 0.0, "Anderson disorder width");
   const auto* seed = cli.add_int("seed", 42, "disorder seed");
-  const auto* engine_name = cli.add_string(
-      "engine", "gpu-chunked", "gpu|gpu-chunked|cpu|cpu-paired|cpu-parallel|multigpu|cluster");
+  const auto* engine_name =
+      cli.add_string("engine", "gpu-chunked", "gpu-chunked|" + core::engine_names());
   const auto* threads =
       cli.add_int("threads", 4, "host threads for --engine=cpu-parallel|cluster");
   const auto* chunk_insts = cli.add_int(
@@ -812,15 +787,15 @@ int cmd_profile(int argc, const char* const* argv) {
   params.realizations = parse_count(*s, "S");
   const std::size_t chunk_instances = parse_count(*chunk_insts, "chunk-insts");
 
-  ClusterFlags cluster;
-  cluster.nodes = parse_count(*nodes, "nodes", 1);
-  cluster.halo = parse_count(*halo, "halo", 1);
-  cluster.devices = parse_count(*devices, "devices", 1);
-  (void)gpusim::InterconnectSpec::from_name(*interconnect);
-  cluster.interconnect = *interconnect;
+  // gpu-chunked has no EngineKind (its --chunk-insts sizing is local to
+  // profile); its flags validate as the GPU engine's.
+  const bool chunked = *engine_name == "gpu-chunked";
+  auto options =
+      engine_options(chunked ? "gpu" : *engine_name, *threads, *nodes, *halo, *interconnect);
+  options.cluster_devices = parse_count(*devices, "devices", 1);
 
   const auto engine = [&]() -> std::unique_ptr<core::MomentEngine> {
-    if (*engine_name == "gpu-chunked") {
+    if (chunked) {
       core::ChunkedGpuEngineConfig cfg;
       if (chunk_instances > 0) {
         // Same sizing rule as bench/ablation_chunking: budget exactly the
@@ -831,7 +806,7 @@ int cmd_profile(int argc, const char* const* argv) {
       }
       return std::make_unique<core::ChunkedGpuMomentEngine>(cfg);
     }
-    return make_engine(*engine_name, *threads, cluster);
+    return core::make_engine(options);
   }();
   const auto result = [&] {
     obs::ScopedSpan span("compute.moments");
